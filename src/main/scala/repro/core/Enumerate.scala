@@ -7,14 +7,18 @@ import repro.core.Tokens.{Tok, Cls}
   *
   * `patternsOf(v)` is P(v): every pattern consistent with value v under the
   * hierarchy — the cross-product of per-token generalization options, at two
-  * granularities (fine runs and merged alnum runs). `hypothesis(values)` is
-  * H(C) = ∩ P(v), the hypothesis space of a column (trivial ".*" excluded by
-  * construction — it is not in the language).
+  * granularities (fine runs and merged alnum runs), plus the alnum skeleton.
+  * `hypothesis(values)` is H(C) = ∩ P(v), the hypothesis space of a column
+  * (trivial ".*" excluded by construction — it is not in the language).
   *
   * Values wider than `tau` tokens are not enumerated (paper §2.4: wide
   * columns are skipped at indexing and recovered via vertical cuts). If a
-  * value's cross-product would exceed `cap`, options are pruned (literals
-  * first, then fixed lengths) so enumeration stays tractable.
+  * granularity's cross-product would exceed `cap`, its options are pruned
+  * (literals first, then fixed lengths) so enumeration stays tractable.
+  *
+  * Every entry point runs on one [[Counter]]: the cross-products are walked
+  * down a prefix trie of interned token ids, and a `Pat` is built only for
+  * the trie nodes whose count reaches the caller's threshold.
   */
 object Enumerate {
 
@@ -22,66 +26,243 @@ object Enumerate {
     * main results use 13, with 8 swept in the sensitivity analysis).
     */
   val DefaultTau = 13
-  /** Default cap on |P(v)|. */
+  /** Default cap on each granularity's cross-product (fine and merged are
+    * capped separately, so |P(v)| itself can exceed it).
+    */
   val DefaultCap = 8192
 
   private def productSize(opts: Vector[Vector[PTok]]): Long =
     opts.foldLeft(1L)((acc, o) => math.min(Long.MaxValue / 2, acc * o.length))
 
-  private def cross(opts: Vector[Vector[PTok]]): Vector[Vector[PTok]] =
-    opts.foldLeft(Vector(Vector.empty[PTok])) { (acc, o) =>
-      acc.flatMap(prefix => o.map(prefix :+ _))
-    }
-
-  private def enumerateToks(toks: Vector[Tok], cap: Int): Vector[Pat] = {
+  /** Per-token options of one granularity, pruned level by level until the
+    * cross-product fits under `cap`; past level 3, only each token's first
+    * remaining option is kept (a single pattern).
+    */
+  private def prunedOptions(toks: Vector[Tok], cap: Int): Vector[Vector[PTok]] = {
     var level = 0
     var opts = toks.map(t => Hierarchy.optionsPruned(t, level))
     while (productSize(opts) > cap && level < 3) {
       level += 1
       opts = toks.map(t => Hierarchy.optionsPruned(t, level))
     }
-    if (productSize(opts) > cap) Vector(Pat(opts.map(_.head)))
-    else cross(opts).map(Pat(_))
+    if (productSize(opts) > cap) opts.map(o => Vector(o.head)) else opts
   }
 
-  /** Alnum-skeleton enumeration: every digit/letter/merged run generalizes
-    * only to `<alnum>{n}` / `<alnum>+` (symbols stay literal). At most
-    * 2^tokens patterns, so it survives for every value under τ regardless of
-    * cap pruning — which is what keeps H(C) non-empty on hex-like columns
-    * whose values tokenize differently (all-digit octets vs mixed ones).
+  /** Alnum-skeleton options: every digit/letter/merged run generalizes only
+    * to `<alnum>{n}` / `<alnum>+` (symbols stay literal). At most 2^tokens
+    * patterns, so it survives for every value under τ regardless of cap
+    * pruning — which is what keeps H(C) non-empty on hex-like columns whose
+    * values tokenize differently (all-digit octets vs mixed ones).
     */
-  private def enumerateSkeleton(toks: Vector[Tok]): Vector[Pat] = {
-    val opts = toks.map { t =>
+  private def skeletonOptions(toks: Vector[Tok]): Vector[Vector[PTok]] =
+    toks.map { t =>
       t.cls match {
         case Cls.Symbol => Vector[PTok](ConstT(t.text))
         case _ => Vector[PTok](FixLen(GClass.Alnum, t.len), VarLen(GClass.Alnum))
       }
     }
-    cross(opts).map(Pat(_))
+
+  /** The option lists whose cross-products make up P(v): fine, merged and
+    * skeleton, each only when its granularity fits under τ. Empty for
+    * null/empty values.
+    */
+  private def optionLists(v: String, tau: Int, cap: Int): Seq[Vector[Vector[PTok]]] = {
+    if (v == null || v.isEmpty) return Nil
+    val fine = Tokens.tokenize(v)
+    val merged = Tokens.tokenizeMerged(v)
+    val out = Seq.newBuilder[Vector[Vector[PTok]]]
+    if (fine.length <= tau) out += prunedOptions(fine, cap)
+    if (merged.length <= tau && merged.exists(_.cls == Cls.Alnum)) out += prunedOptions(merged, cap)
+    if (merged.length <= tau) out += skeletonOptions(merged)
+    out.result()
+  }
+
+  /** Counts P(v) over the values of one column without materialising a
+    * pattern per value. Option tokens are interned to `Int` ids; each
+    * cross-product is walked depth-first down a prefix trie of those ids.
+    * A node that ends a pattern keeps a count and the index of the last
+    * value that reached it, so a pattern reached twice from one value (from
+    * fine and from skeleton, say) counts once, with that value's
+    * multiplicity. Children are found through one open-addressing map keyed
+    * by (parent id, token id), so fan-out is unbounded.
+    */
+  private final class Counter(tau: Int, cap: Int) {
+    private val tokIds = new java.util.HashMap[PTok, Integer]
+    private val tokens = collection.mutable.ArrayBuffer.empty[PTok]
+
+    // node 0 is the root (the empty prefix)
+    private var nodes = 1
+    private var parent = new Array[Int](1024)
+    private var tokOf = new Array[Int](1024)
+    private var count = new Array[Int](1024)
+    private var stamp = Array.fill(1024)(-1)
+    /** Last intersection round in which a surviving pattern lay below. */
+    private var live = new Array[Int](1024)
+    private var ends = new Array[Int](256)
+    private var nEnds = 0
+
+    // (key, child) pairs side by side, so a probe touches one cache line
+    private var edges = Array.fill(2 * 2048)(-1L)
+    private var edgeBits = 11
+
+    private var round = -1
+    private var mult = 1
+    private var intersecting = false
+    private var hits = 0
+
+    private def idOf(t: PTok): Int = {
+      val id = tokIds.get(t)
+      if (id != null) id.intValue
+      else { tokIds.put(t, tokens.size); tokens += t; tokens.size - 1 }
+    }
+
+    private def slot(key: Long): Int = ((key * 0x9E3779B97F4A7C15L) >>> (64 - edgeBits)).toInt
+
+    /** The child of `node` along `tok`: -1 when absent, unless `create`. */
+    private def child(node: Int, tok: Int, create: Boolean): Int = {
+      if (create && 2 * (nodes + 1) > (1 << edgeBits)) growEdges()
+      val key = (node.toLong << 32) | tok
+      val mask = (1 << edgeBits) - 1
+      var i = slot(key)
+      while (edges(2 * i) != -1L) {
+        if (edges(2 * i) == key) return edges(2 * i + 1).toInt
+        i = (i + 1) & mask
+      }
+      if (!create) return -1
+      val c = newNode(node, tok)
+      edges(2 * i) = key; edges(2 * i + 1) = c
+      c
+    }
+
+    /** Doubles the edge table (kept at most half full). */
+    private def growEdges(): Unit = {
+      val old = edges
+      edgeBits += 1
+      edges = new Array[Long](2 << edgeBits)
+      java.util.Arrays.fill(edges, -1L)
+      val mask = (1 << edgeBits) - 1
+      var j = 0
+      while (j < old.length) {
+        if (old(j) != -1L) {
+          var i = slot(old(j))
+          while (edges(2 * i) != -1L) i = (i + 1) & mask
+          edges(2 * i) = old(j); edges(2 * i + 1) = old(j + 1)
+        }
+        j += 2
+      }
+    }
+
+    private def newNode(node: Int, tok: Int): Int = {
+      if (nodes == parent.length) {
+        val n = nodes * 2
+        parent = java.util.Arrays.copyOf(parent, n)
+        tokOf = java.util.Arrays.copyOf(tokOf, n)
+        count = java.util.Arrays.copyOf(count, n)
+        live = java.util.Arrays.copyOf(live, n)
+        stamp = java.util.Arrays.copyOf(stamp, n)
+        java.util.Arrays.fill(stamp, nodes, n, -1)
+      }
+      val c = nodes
+      nodes += 1
+      parent(c) = node; tokOf(c) = tok
+      c
+    }
+
+    private def walk(opts: Array[Array[Int]], depth: Int, node: Int): Unit =
+      if (depth == opts.length) reach(node)
+      else {
+        val o = opts(depth)
+        var i = 0
+        while (i < o.length) {
+          val c = child(node, o(i), !intersecting)
+          if (c > 0 && (!intersecting || live(c) >= round - 1)) walk(opts, depth + 1, c)
+          i += 1
+        }
+      }
+
+    private def reach(node: Int): Unit =
+      if (intersecting) {
+        if (count(node) == round) {
+          count(node) = round + 1
+          hits += 1
+          var a = node
+          while (a != 0 && live(a) != round) { live(a) = round; a = parent(a) }
+        }
+      } else if (stamp(node) != round) {
+        if (stamp(node) < 0) {
+          if (nEnds == ends.length) ends = java.util.Arrays.copyOf(ends, nEnds * 2)
+          ends(nEnds) = node; nEnds += 1
+        }
+        stamp(node) = round
+        count(node) += mult
+      }
+
+    private def walkValue(v: String): Unit =
+      for (opts <- optionLists(v, tau, cap))
+        walk(opts.iterator.map(_.iterator.map(idOf).toArray).toArray, 0, 0)
+
+    /** Adds every pattern of P(v), `m` times. */
+    def add(v: String, m: Int): Unit = {
+      round += 1; mult = m; intersecting = false
+      walkValue(v)
+    }
+
+    /** Keeps only the patterns that every value so far, and v, has; only
+      * trie nodes with a survivor below are walked. Valid after one `add`
+      * of multiplicity 1 and further `intersect`s. False when none survive.
+      */
+    def intersect(v: String): Boolean = {
+      round += 1; intersecting = true; hits = 0
+      walkValue(v)
+      hits > 0
+    }
+
+    private def patOf(node: Int): Pat = {
+      var depth = 0
+      var a = node
+      while (a != 0) { depth += 1; a = parent(a) }
+      val ts = new Array[PTok](depth)
+      a = node
+      while (a != 0) { depth -= 1; ts(depth) = tokens(tokOf(a)); a = parent(a) }
+      Pat(ts.toVector)
+    }
+
+    /** Patterns counted at least `minCount` times, with their counts, in
+      * the order they were first reached.
+      */
+    def survivors(minCount: Int): Vector[(Pat, Int)] = {
+      val out = Vector.newBuilder[(Pat, Int)]
+      var i = 0
+      while (i < nEnds) {
+        val n = ends(i)
+        if (count(n) >= minCount) out += ((patOf(n), count(n)))
+        i += 1
+      }
+      out.result()
+    }
+  }
+
+  /** Every pattern p ∈ P(D) that at least `minCount` values v ∈ D have in
+    * P(v) (counted with multiplicity), with that count. Null and empty
+    * values count toward no pattern.
+    */
+  def frequentPatterns(values: Seq[String], minCount: Int, tau: Int = DefaultTau,
+                       cap: Int = DefaultCap): Vector[(Pat, Int)] = {
+    val mult = collection.mutable.LinkedHashMap.empty[String, Int]
+    for (v <- values if v != null && v.nonEmpty) mult.update(v, mult.getOrElse(v, 0) + 1)
+    val c = new Counter(tau, cap)
+    for ((v, m) <- mult) c.add(v, m)
+    c.survivors(minCount)
   }
 
   /** P(v): all patterns consistent with v (fine ∪ merged granularity ∪ the
     * alnum skeleton). Empty for null/empty values and values wider than tau
     * tokens at both granularities.
     */
-  def patternsOf(v: String, tau: Int = DefaultTau, cap: Int = DefaultCap): Vector[Pat] = {
-    if (v == null || v.isEmpty) return Vector.empty
-    val fine = Tokens.tokenize(v)
-    val merged = Tokens.tokenizeMerged(v)
-    val fromFine =
-      if (fine.length <= tau) enumerateToks(fine, cap) else Vector.empty
-    val fromMerged =
-      if (merged.length <= tau && merged.exists(_.cls == Cls.Alnum))
-        enumerateToks(merged, cap)
-      else Vector.empty
-    val skeleton =
-      if (merged.length <= tau) enumerateSkeleton(merged) else Vector.empty
-    val all = fromFine ++ fromMerged ++ skeleton
-    val seen = collection.mutable.HashSet.empty[String]
-    all.filter(p => seen.add(p.key))
-  }
+  def patternsOf(v: String, tau: Int = DefaultTau, cap: Int = DefaultCap): Vector[Pat] =
+    frequentPatterns(Seq(v), 1, tau, cap).map(_._1)
 
-  /** P(v) as a key-set (cheap set algebra for H(C) and indexing). */
+  /** P(v) as a key-set. */
   def patternKeysOf(v: String, tau: Int = DefaultTau, cap: Int = DefaultCap): Set[String] =
     patternsOf(v, tau, cap).map(_.key).toSet
 
@@ -91,32 +272,24 @@ object Enumerate {
   def hypothesis(values: Seq[String], tau: Int = DefaultTau, cap: Int = DefaultCap): Vector[Pat] = {
     val distinct = values.filter(v => v != null && v.nonEmpty).distinct
     if (distinct.isEmpty) return Vector.empty
-    // Intersect starting from the value with the fewest patterns.
-    val first = patternsOf(distinct.head, tau, cap)
-    var live: Map[String, Pat] = first.map(p => p.key -> p).toMap
+    // The trie is built from the first value; later values only walk it.
+    val c = new Counter(tau, cap)
+    c.add(distinct.head, 1)
     val it = distinct.iterator.drop(1)
-    while (it.hasNext && live.nonEmpty) {
-      val keys = patternKeysOf(it.next(), tau, cap)
-      live = live.filter { case (k, _) => keys.contains(k) }
-    }
-    live.values.toVector
+    var alive = true
+    while (alive && it.hasNext) alive = c.intersect(it.next())
+    if (alive) c.survivors(distinct.size).map(_._1) else Vector.empty
   }
 
-  /** Per-column pattern→match-count map used by the offline indexer:
-    * for each pattern p ∈ P(D), the number of values v ∈ D with p ∈ P(v).
-    * `values` should already be capped by the caller. Wide values (> tau
-    * tokens) contribute to no pattern but still count toward |D| (the caller
+  /** Per-column pattern→match-count map: for each pattern p ∈ P(D), the
+    * number of values v ∈ D with p ∈ P(v). Wide values (> tau tokens)
+    * contribute to no pattern but still count toward |D| (the caller
     * divides by total value count to get impurity).
     */
   def columnPatternCounts(values: Seq[String], tau: Int = DefaultTau,
                           cap: Int = DefaultCap): collection.Map[String, Int] = {
     val counts = collection.mutable.HashMap.empty[String, Int]
-    val byValue = values.filter(v => v != null && v.nonEmpty).groupBy(identity)
-    for ((v, occs) <- byValue) {
-      val mult = occs.size
-      for (k <- patternKeysOf(v, tau, cap))
-        counts.update(k, counts.getOrElse(k, 0) + mult)
-    }
+    for ((p, n) <- frequentPatterns(values, 1, tau, cap)) counts.update(p.key, n)
     counts
   }
 
@@ -131,11 +304,7 @@ object Enumerate {
     val vs = values.filter(v => v != null && v.nonEmpty)
     if (vs.isEmpty) return Vector.empty
     val need = math.ceil(minCoverage * vs.size).toInt
-    val counts = columnPatternCounts(vs, tau, cap)
-    counts.iterator
-      .filter(_._2 >= need)
-      .map { case (k, c) => (Pattern.parse(k), c) }
-      .toVector
+    frequentPatterns(vs, need, tau, cap)
       .sortBy { case (p, c) => (-c, -p.specificity, p.key) }
   }
 }

@@ -53,11 +53,10 @@ object OfflineIndexer {
     val enumerable = vs.count(v => repro.core.Tokens.effectiveTokenCount(v) <= cfg.tau)
     if (enumerable < cfg.minEnumerable * vs.size) return Nil
     val n = vs.size.toDouble
-    val minCnt = math.max(1.0, cfg.minColCoverage * n)
-    Enumerate.columnPatternCounts(vs, cfg.tau, cfg.capPerValue)
-      .iterator
-      .filter { case (_, cnt) => cnt >= minCnt }
-      .map { case (key, cnt) => (key, 1.0 - cnt / n) }.toSeq
+    // counts are integers, so cnt ≥ x exactly when cnt ≥ ⌈x⌉
+    val minCnt = math.ceil(math.max(1.0, cfg.minColCoverage * n)).toInt
+    Enumerate.frequentPatterns(vs, minCnt, cfg.tau, cfg.capPerValue)
+      .map { case (p, cnt) => (p.key, 1.0 - cnt / n) }
   }
 
   /** Build the index DataFrame (pattern, fpr, cov) from a corpus of columns. */

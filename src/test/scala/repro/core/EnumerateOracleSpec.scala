@@ -1,0 +1,139 @@
+package repro.core
+
+import java.util.concurrent.{Callable, Executors}
+import org.scalacheck.Gen
+import repro.{PropHelpers, SparkSpec, TestFixtures}
+import repro.core.Enumerate.{DefaultCap, DefaultTau}
+
+/** The trie-counting [[Enumerate]] against the cross-product
+  * [[EnumerateOracle]]: P(v), per-column counts, H(C) and Algorithm 1's
+  * thresholded patterns must be identical, on generated values, on every
+  * value of the test lake and on values that hit each pruning level.
+  */
+class EnumerateOracleSpec extends SparkSpec with PropHelpers {
+  import EnumerateOracleSpec._
+
+  private def keys(ps: Seq[Pattern.Pat]): Set[String] = ps.map(_.key).toSet
+
+  /** (τ, cap) settings: the defaults, the sensitivity sweep's τ = 8, and
+    * caps small enough to force every pruning level and the fallback.
+    */
+  private val settings = Seq((DefaultTau, DefaultCap), (8, DefaultCap), (DefaultTau, 64),
+    (DefaultTau, 4), (DefaultTau, 1))
+
+  private def checkValue(v: String): Unit =
+    for ((tau, cap) <- settings) {
+      val got = Enumerate.patternsOf(v, tau, cap)
+      val want = EnumerateOracle.patternsOf(v, tau, cap)
+      assert(got == want, s"P('$v') at tau=$tau cap=$cap")
+    }
+
+  private def checkColumn(vs: Seq[String]): Unit =
+    for ((tau, cap) <- settings) {
+      assert(Enumerate.columnPatternCounts(vs, tau, cap) == EnumerateOracle.columnPatternCounts(vs, tau, cap),
+        s"counts of $vs at tau=$tau cap=$cap")
+      assert(keys(Enumerate.hypothesis(vs, tau, cap)) == keys(EnumerateOracle.hypothesis(vs, tau, cap)),
+        s"H of $vs at tau=$tau cap=$cap")
+      for (cov <- Seq(0.0, 0.5, 0.9, 1.0))
+        assert(Enumerate.generatePatterns(vs, cov, tau, cap) == EnumerateOracle.generatePatterns(vs, cov, tau, cap),
+          s"generatePatterns($vs, $cov) at tau=$tau cap=$cap")
+    }
+
+  test("oracle: P(v) is the oracle's, in the same order, on generated values") {
+    forSamples(EnumerateSpec.genValue, 200)(checkValue)
+  }
+
+  test("oracle: P(v) is the oracle's on every pruning level, the fallback and GUIDs") {
+    for (v <- pruningValues) checkValue(v)
+    // the levels themselves, at the default cap: level 1 drops literals
+    // (4^6 fine patterns, the skeleton adds none), level 2 keeps digit
+    // classes only (2^7 fine + 2^7 skeleton), level 3 one fine pattern
+    // beside the merged run's two
+    assert(Enumerate.patternsOf("1.2.3.4.5.6").size == 4096)
+    assert(Enumerate.patternsOf("1.2.3.4.5.6.7").size == 256)
+    val level3 = Enumerate.patternsOf("a1b2c3d4e5f6g").map(_.display)
+    assert(level3 == Vector("<lower>+<digit>+" * 6 + "<lower>+", "<alnum>{13}", "<alnum>+"))
+    // merged runs past the cap fall back to one pattern, which the skeleton
+    // already holds
+    val fallback = Enumerate.patternsOf("ab1-cd2-ef3-gh4-ij5-kl6-mn7", cap = 64)
+    assert(fallback.size == 128)
+    assert(fallback.head.display == Vector.fill(7)("<alnum>{3}").mkString("-"))
+  }
+
+  test("oracle: counts, H(C) and Algorithm 1 agree on generated columns with duplicates, nulls and empties") {
+    forSamples(genColumn, 150)(checkColumn)
+    checkColumn(Seq(null, "", null))
+    checkColumn(Nil)
+    checkColumn(pruningValues)
+    checkColumn(pruningValues ++ pruningValues.take(3) ++ Seq("", null))
+  }
+
+  test("oracle: P(v) agrees on every distinct value of the test lake") {
+    val values = TestFixtures.corpusEColumns.flatMap(_.values)
+      .filter(v => v != null && v.nonEmpty).distinct
+    val bad = inParallel(values) { v =>
+      if (Enumerate.patternsOf(v) == EnumerateOracle.patternsOf(v)) None else Some(v)
+    }.flatten
+    assert(bad.isEmpty, s"${bad.size} of ${values.size} values differ, e.g. ${bad.take(3)}")
+  }
+
+  test("oracle: H(C) agrees on every test-lake column's training prefix") {
+    val cols = TestFixtures.corpusEColumns.map(_.values.take(10))
+    val bad = inParallel(cols) { vs =>
+      if (keys(Enumerate.hypothesis(vs)) == keys(EnumerateOracle.hypothesis(vs))) None else Some(vs)
+    }.flatten
+    assert(bad.isEmpty, s"${bad.size} columns differ, e.g. ${bad.take(1)}")
+  }
+
+  test("oracle: a 2^20+ digit run beside 300 distinct literals counts exactly") {
+    val run = "7" * ((1 << 20) + 3)
+    val literals = (0 until 300).map(i => Iterator.iterate(i)(_ / 26).take(3).map(k => ('a' + k % 26).toChar).mkString)
+    assert(literals.distinct.size == 300)
+    val col = Seq(run, run) ++ literals ++ literals.take(7) ++ Seq(run + "x", "x" + run)
+    val got = Enumerate.columnPatternCounts(col)
+    assert(got == EnumerateOracle.columnPatternCounts(col))
+    assert(got(Pattern.Pat(Vector(Pattern.VarLen(Pattern.GClass.Digit))).key) == 2)
+    assert(got(Pattern.Pat(Vector(Pattern.VarLen(Pattern.GClass.Lower))).key) == 307)
+  }
+}
+
+object EnumerateOracleSpec {
+
+  /** Values that reach each pruning level at the default cap (fine
+    * granularity: level 0, 1, 2, 3), a merged granularity that falls back
+    * to a single pattern under small caps, and GUIDs that are wide at the
+    * fine granularity but mergeable under τ.
+    */
+  val pruningValues: Vector[String] = Vector(
+    "9:07",                                    // level 0
+    "1.2.3.4.5.6",                             // 5^6 > 8192 ≥ 4^6: level 1
+    "1.2.3.4.5.6.7",                           // 4^7 > 8192 ≥ 2^7: level 2
+    "a1b2c3d4e5f6g",                           // 3^7·2^6 > 8192: level 3
+    "Ab-Cd-Ef-Gh-Ij-Kl-Mn",                     // mixed-case letters at level 2/3
+    "ab1-cd2-ef3-gh4-ij5-kl6-mn7",             // merged alnum runs: fallback when 2^7 > cap
+    "b0a04f4b-a1e7-564b-7ccf-e267be6c2295",    // GUID: fine > τ, merged = 9
+    "{34d52294-ca91-91cc-0553-d06cf1b87d43}",
+    "00:1A:2b:3C:4d:5E",
+    "2019-03-04T09:07:45.123Z")
+
+  /** Columns of one value shape (so H(C) is often non-empty) or of mixed
+    * shapes, with repeats, nulls and empty strings.
+    */
+  val genColumn: Gen[Vector[String]] = {
+    val shaped = Gen.oneOf(EnumerateSpec.valueGens :+ EnumerateSpec.genValue)
+    val cell = (g: Gen[String]) => Gen.frequency(8 -> g, 1 -> Gen.const(null), 1 -> Gen.const(""))
+    for {
+      g <- shaped
+      pool <- Gen.nonEmptyListOf(g).map(_.take(6))
+      n <- Gen.choose(0, 12)
+      col <- Gen.listOfN(n, cell(Gen.oneOf(pool)))
+    } yield col.toVector
+  }
+
+  /** `f` over `xs` on a few threads, in order. */
+  def inParallel[A, B](xs: Seq[A])(f: A => B): Vector[B] = {
+    val pool = Executors.newFixedThreadPool(math.min(4, Runtime.getRuntime.availableProcessors))
+    try xs.map(x => pool.submit(new Callable[B] { def call(): B = f(x) })).map(_.get()).toVector
+    finally pool.shutdown()
+  }
+}

@@ -5,6 +5,7 @@ import repro.{PropHelpers, SparkSpec}
 import repro.core.Pattern._
 
 class EnumerateSpec extends SparkSpec with PropHelpers {
+  import EnumerateSpec.genValue
 
   private def displays(v: String): Set[String] =
     Enumerate.patternsOf(v).map(_.display).toSet
@@ -58,13 +59,6 @@ class EnumerateSpec extends SparkSpec with PropHelpers {
       for (p <- Enumerate.patternsOf(v))
         assert(p.matches(v), s"${p.display} should match '$v'")
   }
-
-  private val genValue: Gen[String] = Gen.oneOf(
-    Gen.choose(0, 999999).map(_.toString),
-    Gen.choose(1, 12).flatMap(m => Gen.choose(1, 28).map(d => s"$m/$d/2021")),
-    Gen.listOfN(6, Gen.oneOf("0123456789abcdef".toSeq)).map(_.mkString),
-    Gen.oneOf("AM", "PM", "Booked", "en-US", "x=1;y=2", "  ", "a-b-c"),
-    Gen.alphaStr.suchThat(_.nonEmpty).map(_.take(12)))
 
   test("property: every pattern in P(v) matches v") {
     forSamples(genValue, 60) { v =>
@@ -150,4 +144,16 @@ class EnumerateSpec extends SparkSpec with PropHelpers {
     val v = "en-US"
     assert(Enumerate.patternKeysOf(v) == Enumerate.patternsOf(v).map(_.key).toSet)
   }
+}
+
+object EnumerateSpec {
+  /** One generator per value shape; `genValue` picks among them. */
+  val valueGens: Vector[Gen[String]] = Vector(
+    Gen.choose(0, 999999).map(_.toString),
+    Gen.choose(1, 12).flatMap(m => Gen.choose(1, 28).map(d => s"$m/$d/2021")),
+    Gen.listOfN(6, Gen.oneOf("0123456789abcdef".toSeq)).map(_.mkString),
+    Gen.oneOf("AM", "PM", "Booked", "en-US", "x=1;y=2", "  ", "a-b-c"),
+    Gen.alphaStr.suchThat(_.nonEmpty).map(_.take(12)))
+
+  val genValue: Gen[String] = Gen.oneOf(valueGens).flatMap(identity)
 }

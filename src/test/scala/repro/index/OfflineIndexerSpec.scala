@@ -1,7 +1,7 @@
 package repro.index
 
-import repro.{Oracle, SparkSpec}
-import repro.core.{Enumerate, Pattern}
+import repro.{Oracle, SparkSpec, TestFixtures}
+import repro.core.{EnumerateOracle, EnumerateOracleSpec, Pattern}
 import repro.core.Pattern._
 import repro.index.OfflineIndexer.IndexConfig
 import repro.lake.LakeColumn
@@ -73,6 +73,21 @@ class OfflineIndexerSpec extends SparkSpec {
       s"""SELECT pattern, avg(CAST(imp AS DOUBLE)) AS fpr, count(*) AS cov
          |FROM ev GROUP BY pattern HAVING count(*) >= ${cfg.minCov}""".stripMargin,
       "ev" -> evDf)
+  }
+
+  test("build: the test lake's index equals one aggregated from the cross-product oracle") {
+    val ev = EnumerateOracleSpec.inParallel(TestFixtures.corpusEColumns)(c =>
+      EnumerateOracle.localEvidence(c.values, cfg)).flatten
+    val want = ev.groupBy(_._1).collect { case (k, rows) if rows.size >= cfg.minCov =>
+      k -> (rows.map(_._2).sum / rows.size, rows.size.toLong)
+    }
+    val got = TestFixtures.indexE.entries
+    assert(got.keySet == want.keySet)
+    for ((k, st) <- got) {
+      val (fpr, cov) = want(k)
+      assert(st.cov == cov, k)
+      assert(math.abs(st.fpr - fpr) <= 1e-12, k)
+    }
   }
 
   test("build: FPR averages only over matched columns (Def. 3)") {
