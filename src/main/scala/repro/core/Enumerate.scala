@@ -77,6 +77,11 @@ object Enumerate {
     out.result()
   }
 
+  /** One value's option lists as interned token ids: list × position ×
+    * option.
+    */
+  private type OptionIds = Array[Array[Array[Int]]]
+
   /** Counts P(v) over the values of one column without materialising a
     * pattern per value. Option tokens are interned to `Int` ids; each
     * cross-product is walked depth-first down a prefix trie of those ids.
@@ -84,7 +89,8 @@ object Enumerate {
     * value that reached it, so a pattern reached twice from one value (from
     * fine and from skeleton, say) counts once, with that value's
     * multiplicity. Children are found through one open-addressing map keyed
-    * by (parent id, token id), so fan-out is unbounded.
+    * by (parent id, token id), so fan-out is unbounded. Tables start small
+    * and double, since one solve often counts only a few short values.
     */
   private final class Counter(tau: Int, cap: Int) {
     private val tokIds = new java.util.HashMap[PTok, Integer]
@@ -92,18 +98,20 @@ object Enumerate {
 
     // node 0 is the root (the empty prefix)
     private var nodes = 1
-    private var parent = new Array[Int](1024)
-    private var tokOf = new Array[Int](1024)
-    private var count = new Array[Int](1024)
-    private var stamp = Array.fill(1024)(-1)
+    private var parent = new Array[Int](64)
+    private var tokOf = new Array[Int](64)
+    private var count = new Array[Int](64)
+    private var stamp = new Array[Int](64)
+    java.util.Arrays.fill(stamp, -1)
     /** Last intersection round in which a surviving pattern lay below. */
-    private var live = new Array[Int](1024)
-    private var ends = new Array[Int](256)
+    private var live = new Array[Int](64)
+    private var ends = new Array[Int](64)
     private var nEnds = 0
 
     // (key, child) pairs side by side, so a probe touches one cache line
-    private var edges = Array.fill(2 * 2048)(-1L)
-    private var edgeBits = 11
+    private var edgeBits = 7
+    private var edges = new Array[Long](2 << edgeBits)
+    java.util.Arrays.fill(edges, -1L)
 
     private var round = -1
     private var mult = 1
@@ -114,6 +122,30 @@ object Enumerate {
       val id = tokIds.get(t)
       if (id != null) id.intValue
       else { tokIds.put(t, tokens.size); tokens += t; tokens.size - 1 }
+    }
+
+    def tokenOf(id: Int): PTok = tokens(id)
+
+    /** v's option lists (fine, merged, skeleton), interned. */
+    def optionIds(v: String): OptionIds = {
+      val lists = optionLists(v, tau, cap)
+      val out = new OptionIds(lists.size)
+      var l = 0
+      for (opts <- lists) {
+        val ids = new Array[Array[Int]](opts.length)
+        var d = 0
+        while (d < ids.length) {
+          val o = opts(d)
+          val a = new Array[Int](o.length)
+          var i = 0
+          while (i < a.length) { a(i) = idOf(o(i)); i += 1 }
+          ids(d) = a
+          d += 1
+        }
+        out(l) = ids
+        l += 1
+      }
+      out
     }
 
     private def slot(key: Long): Int = ((key * 0x9E3779B97F4A7C15L) >>> (64 - edgeBits)).toInt
@@ -197,14 +229,15 @@ object Enumerate {
         count(node) += mult
       }
 
-    private def walkValue(v: String): Unit =
-      for (opts <- optionLists(v, tau, cap))
-        walk(opts.iterator.map(_.iterator.map(idOf).toArray).toArray, 0, 0)
+    private def walkAll(lists: OptionIds): Unit = {
+      var l = 0
+      while (l < lists.length) { walk(lists(l), 0, 0); l += 1 }
+    }
 
-    /** Adds every pattern of P(v), `m` times. */
-    def add(v: String, m: Int): Unit = {
+    /** Adds every pattern of the option lists' cross-products, `m` times. */
+    def add(lists: OptionIds, m: Int): Unit = {
       round += 1; mult = m; intersecting = false
-      walkValue(v)
+      walkAll(lists)
     }
 
     /** Keeps only the patterns that every value so far, and v, has; only
@@ -213,7 +246,7 @@ object Enumerate {
       */
     def intersect(v: String): Boolean = {
       round += 1; intersecting = true; hits = 0
-      walkValue(v)
+      walkAll(optionIds(v))
       hits > 0
     }
 
@@ -242,17 +275,161 @@ object Enumerate {
     }
   }
 
+  /** Bound on τ for the pre-filter: a list's length and position must fit
+    * in the 31 bits above a token id in an [[OptionCounts]] key.
+    */
+  private val MaxKeyedLength = 1 << 15
+
+  /** The exact option pre-filter of [[frequentPatterns]] (Apriori's
+    * anti-monotone support bound, per list length and position). Counts,
+    * for every key (list length L, position d, token id t), the values that
+    * have t among their options at d of some option list of length L —
+    * each value once per key, with its multiplicity. A pattern of length L
+    * counted `minCount` times needs each of its tokens to reach `minCount`
+    * at its (L, d), so dropping the options below that, and the lists left
+    * with an empty position, changes no survivor, no count and no
+    * first-reached order.
+    */
+  private final class OptionCounts {
+    private var bits = 8
+    // zero marks an empty slot: a key's length field is at least 1
+    private var keys = new Array[Long](1 << bits)
+    private var counts = new Array[Int](1 << bits)
+    /** 1 + index of the last value counted under the key. */
+    private var lastValue = new Array[Int](1 << bits)
+    private var size = 0
+
+    private def key(len: Int, d: Int, tok: Int): Long =
+      (len.toLong << 48) | (d.toLong << 32) | tok
+
+    private def slot(key: Long): Int = ((key * 0x9E3779B97F4A7C15L) >>> (64 - bits)).toInt
+
+    private def find(key: Long): Int = {
+      val mask = (1 << bits) - 1
+      var i = slot(key)
+      while (keys(i) != 0L && keys(i) != key) i = (i + 1) & mask
+      i
+    }
+
+    /** Doubles the table (kept at most half full). */
+    private def grow(): Unit = {
+      val (oldKeys, oldCounts, oldLast) = (keys, counts, lastValue)
+      bits += 1
+      keys = new Array[Long](1 << bits)
+      counts = new Array[Int](1 << bits)
+      lastValue = new Array[Int](1 << bits)
+      var j = 0
+      while (j < oldKeys.length) {
+        if (oldKeys(j) != 0L) {
+          val i = find(oldKeys(j))
+          keys(i) = oldKeys(j); counts(i) = oldCounts(j); lastValue(i) = oldLast(j)
+        }
+        j += 1
+      }
+    }
+
+    /** Counts value number `v` (from 0), of multiplicity `m`. */
+    def add(lists: OptionIds, m: Int, v: Int): Unit = {
+      var l = 0
+      while (l < lists.length) {
+        val opts = lists(l)
+        var d = 0
+        while (d < opts.length) {
+          val o = opts(d)
+          var j = 0
+          while (j < o.length) {
+            val k = key(opts.length, d, o(j))
+            var i = find(k)
+            if (keys(i) == 0L) {
+              if (2 * (size + 1) > keys.length) { grow(); i = find(k) }
+              keys(i) = k; size += 1
+            }
+            if (lastValue(i) != v + 1) { lastValue(i) = v + 1; counts(i) += m }
+            j += 1
+          }
+          d += 1
+        }
+        l += 1
+      }
+    }
+
+    private def countOf(len: Int, d: Int, tok: Int): Int = {
+      val i = find(key(len, d, tok))
+      if (keys(i) == 0L) 0 else counts(i)
+    }
+
+    /** `lists` with the options counted fewer than `minCount` times
+      * dropped, and without the lists left with an empty position.
+      */
+    def frequent(lists: OptionIds, minCount: Int): OptionIds = {
+      val out = Array.newBuilder[Array[Array[Int]]]
+      var l = 0
+      while (l < lists.length) {
+        val opts = lists(l)
+        val kept = new Array[Array[Int]](opts.length)
+        var empty = false
+        var d = 0
+        while (!empty && d < opts.length) {
+          val o = opts(d)
+          val keep = new Array[Int](o.length)
+          var n = 0
+          var j = 0
+          while (j < o.length) {
+            if (countOf(opts.length, d, o(j)) >= minCount) { keep(n) = o(j); n += 1 }
+            j += 1
+          }
+          kept(d) = if (n == o.length) o else java.util.Arrays.copyOf(keep, n)
+          empty = n == 0
+          d += 1
+        }
+        if (!empty) out += kept
+        l += 1
+      }
+      out.result()
+    }
+  }
+
+  /** Each distinct non-empty value's multiplicity and interned option
+    * lists, in first-seen order; for `minCount > 1`, through the exact
+    * [[OptionCounts]] pre-filter.
+    */
+  private def columnOptions(c: Counter, values: Seq[String], minCount: Int,
+                            tau: Int): (Array[Int], Array[OptionIds]) = {
+    val mult = collection.mutable.LinkedHashMap.empty[String, Int]
+    for (v <- values if v != null && v.nonEmpty) mult.update(v, mult.getOrElse(v, 0) + 1)
+    val ms = mult.valuesIterator.toArray
+    val lists = mult.keysIterator.map(c.optionIds).toArray
+    if (minCount <= 1 || tau >= MaxKeyedLength) (ms, lists)
+    else {
+      val oc = new OptionCounts
+      var i = 0
+      while (i < lists.length) { oc.add(lists(i), ms(i), i); i += 1 }
+      (ms, lists.map(oc.frequent(_, minCount)))
+    }
+  }
+
   /** Every pattern p ∈ P(D) that at least `minCount` values v ∈ D have in
-    * P(v) (counted with multiplicity), with that count. Null and empty
-    * values count toward no pattern.
+    * P(v) (counted with multiplicity), with that count, in the order the
+    * walk first reached them. Null and empty values count toward no pattern.
     */
   def frequentPatterns(values: Seq[String], minCount: Int, tau: Int = DefaultTau,
                        cap: Int = DefaultCap): Vector[(Pat, Int)] = {
-    val mult = collection.mutable.LinkedHashMap.empty[String, Int]
-    for (v <- values if v != null && v.nonEmpty) mult.update(v, mult.getOrElse(v, 0) + 1)
     val c = new Counter(tau, cap)
-    for ((v, m) <- mult) c.add(v, m)
+    val (ms, lists) = columnOptions(c, values, minCount, tau)
+    var i = 0
+    while (i < lists.length) { c.add(lists(i), ms(i)); i += 1 }
     c.survivors(minCount)
+  }
+
+  /** The option lists that `frequentPatterns(values, minCount)` walks, per
+    * distinct non-empty value in first-seen order (list × position ×
+    * option), so tests can check the pre-filter against a direct count.
+    */
+  private[core] def walkedOptions(values: Seq[String], minCount: Int, tau: Int = DefaultTau,
+                                  cap: Int = DefaultCap): Vector[Vector[Vector[Vector[PTok]]]] = {
+    val c = new Counter(tau, cap)
+    columnOptions(c, values, minCount, tau)._2.toVector
+      .map(_.toVector.map(_.toVector.map(_.toVector.map(c.tokenOf))))
   }
 
   /** P(v): all patterns consistent with v (fine ∪ merged granularity ∪ the
@@ -274,7 +451,7 @@ object Enumerate {
     if (distinct.isEmpty) return Vector.empty
     // The trie is built from the first value; later values only walk it.
     val c = new Counter(tau, cap)
-    c.add(distinct.head, 1)
+    c.add(c.optionIds(distinct.head), 1)
     val it = distinct.iterator.drop(1)
     var alive = true
     while (alive && it.hasNext) alive = c.intersect(it.next())

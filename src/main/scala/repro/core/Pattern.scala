@@ -77,9 +77,39 @@ object Pattern {
 
   private val SEP = '\u0001'
   private val FLD = '\u0002'
+  /** Escapes SEP, FLD and itself inside literal text (as ESC + '1' / '2' /
+    * '3'), so a key parses back for any text; printable text is unchanged.
+    */
+  private val ESC = '\u0003'
+
+  private def reserved(c: Char): Boolean = c == SEP || c == FLD || c == ESC
+
+  private def escape(s: String): String =
+    if (!s.exists(reserved)) s
+    else {
+      val sb = new StringBuilder(s.length + 4)
+      for (c <- s) {
+        if (reserved(c)) sb.append(ESC).append(('0' + c).toChar)
+        else sb.append(c)
+      }
+      sb.toString
+    }
+
+  private def unescape(s: String): String =
+    if (s.indexOf(ESC) < 0) s
+    else {
+      val sb = new StringBuilder(s.length)
+      var i = 0
+      while (i < s.length) {
+        if (s.charAt(i) == ESC) { i += 1; sb.append((s.charAt(i) - '0').toChar) }
+        else sb.append(s.charAt(i))
+        i += 1
+      }
+      sb.toString
+    }
 
   private def serializeTok(t: PTok): String = t match {
-    case ConstT(s)     => s"C$FLD$s"
+    case ConstT(s)     => s"C$FLD${escape(s)}"
     case FixLen(c, n)  => s"F$FLD${c.name}$FLD$n"
     case VarLen(c)     => s"V$FLD${c.name}"
   }
@@ -87,7 +117,7 @@ object Pattern {
   private def parseTok(s: String): PTok = {
     val parts = s.split(FLD.toString, -1)
     parts(0) match {
-      case "C" => ConstT(parts.drop(1).mkString(FLD.toString)) // text may be empty
+      case "C" => ConstT(unescape(parts(1))) // text may be empty
       case "F" => FixLen(GClass.byName(parts(1)), parts(2).toInt)
       case "V" => VarLen(GClass.byName(parts(1)))
       case x   => throw new IllegalArgumentException(s"bad token tag $x in '$s'")

@@ -6,11 +6,11 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
-  * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * The tests use it to build the offline pattern indexes of the synthetic
+  * lakes (`TestFixtures.indexE` / `indexG`, built once per JVM and shared),
+  * to run `OfflineIndexer` on small corpora, and to rescan the corpus in
+  * the no-index FMDV reference. Driver heap is set via `Test / javaOptions`
+  * in build.sbt from SPARK_DRIVER_MEM.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -39,6 +39,38 @@ class EnumerateOracleSpec extends SparkSpec with PropHelpers {
           s"generatePatterns($vs, $cov) at tau=$tau cap=$cap")
     }
 
+  /** `frequentPatterns(vs, k)` for every k from 1 to |non-empty vs| + 1
+    * against the oracle's counts filtered to ≥ k, in first-reached order:
+    * distinct values in first-seen order, each one's oracle P(v) in order.
+    * Also checks that the walk sees exactly the options whose (list length,
+    * position, token) count, over distinct values with multiplicity and each
+    * value once per key, reaches k — a weaker pre-filter is still exact, so
+    * only this catches it.
+    */
+  private def checkFrequent(vs: Seq[String], tau: Int, cap: Int): Unit = {
+    val present = vs.filter(v => v != null && v.nonEmpty)
+    val distinct = present.distinct
+    val mults = distinct.map(v => present.count(_ == v))
+    val counts = EnumerateOracle.columnPatternCounts(vs, tau, cap)
+    val firstReached = distinct.flatMap(EnumerateOracle.patternsOf(_, tau, cap)).distinctBy(_.key)
+    val options = Enumerate.walkedOptions(vs, 1, tau, cap)
+    assert(options.size == distinct.size)
+    val optionCounts = options.zip(mults)
+      .flatMap { case (lists, m) =>
+        lists.flatMap(l => l.zipWithIndex.flatMap { case (o, d) => o.map(t => (l.size, d, t)) })
+          .distinct.map(_ -> m)
+      }
+      .groupMapReduce(_._1)(_._2)(_ + _)
+    for (k <- 1 to present.size + 1) {
+      val want = firstReached.filter(p => counts(p.key) >= k).map(p => (p, counts(p.key)))
+      assert(Enumerate.frequentPatterns(vs, k, tau, cap) == want, s"frequentPatterns($vs, $k) at tau=$tau cap=$cap")
+      val kept = options.map(_.map(l => l.zipWithIndex.map { case (o, d) =>
+        o.filter(t => optionCounts((l.size, d, t)) >= k)
+      }).filter(_.forall(_.nonEmpty)))
+      assert(Enumerate.walkedOptions(vs, k, tau, cap) == kept, s"options of $vs at k=$k tau=$tau cap=$cap")
+    }
+  }
+
   test("oracle: P(v) is the oracle's, in the same order, on generated values") {
     forSamples(EnumerateSpec.genValue, 200)(checkValue)
   }
@@ -66,6 +98,15 @@ class EnumerateOracleSpec extends SparkSpec with PropHelpers {
     checkColumn(Nil)
     checkColumn(pruningValues)
     checkColumn(pruningValues ++ pruningValues.take(3) ++ Seq("", null))
+  }
+
+  test("oracle: frequentPatterns and its option pre-filter agree at every threshold on generated columns") {
+    forSamples(genColumn, 100)(vs => for ((tau, cap) <- settings) checkFrequent(vs, tau, cap))
+    checkFrequent(pruningValues ++ pruningValues.take(3) ++ Seq("", null), DefaultTau, DefaultCap)
+  }
+
+  test("oracle: frequentPatterns and its option pre-filter agree at every threshold on hand-built columns") {
+    for (vs <- handBuiltColumns; (tau, cap) <- settings) checkFrequent(vs, tau, cap)
   }
 
   test("oracle: P(v) agrees on every distinct value of the test lake") {
@@ -115,6 +156,25 @@ object EnumerateOracleSpec {
     "{34d52294-ca91-91cc-0553-d06cf1b87d43}",
     "00:1A:2b:3C:4d:5E",
     "2019-03-04T09:07:45.123Z")
+
+  /** Columns that stress the pre-filter's (list length, position, token)
+    * key: fine, merged and skeleton lists of different lengths sharing a
+    * prefix; a literal frequent at one (length, position) and rare at
+    * another; repeated values; and one value whose fine and skeleton lists
+    * share every literal (it must count once per key).
+    */
+  val handBuiltColumns: Vector[Vector[String]] = Vector(
+    // fine 5 / merged 3 / skeleton 3 tokens beside fine 3 / skeleton 3 and
+    // fine 2 / merged 1 / skeleton 1, all opening with "ab"
+    Vector("ab12-x9", "ab12-y7", "ab-12", "ab-12", "ab12", "cd34-x9", "ab12"),
+    // "ab" at (3, 0) in three values, at (1, 0) in one value seen twice
+    Vector("ab", "ab-1", "ab-2", "ab-3", "cd-4", "ab"),
+    // "-" at (3, 1) throughout, at (5, 1) and (5, 3) only in the dates
+    Vector("1-2", "3-4", "5-6", "2021-03-04", "2021-04-05", "7-8", "1-2"),
+    // multiplicities above one, beside nulls and empties
+    Vector("9:07", "9:07", "9:07", "10:15", "x", "x", null, "", "10:15", "x"),
+    Vector("ab-12"),
+    Vector("ab-12", "ab-12"))
 
   /** Columns of one value shape (so H(C) is often non-empty) or of mixed
     * shapes, with repeats, nulls and empty strings.

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestFixtures}
+import repro.core.FmdvH.HSolution
 import repro.lake.Domains
 import scala.util.Random
 
@@ -92,6 +93,34 @@ class FmdvHSpec extends SparkSpec {
     val rule = m.learn(dirtyDates(33, 100, 0.03)).get
     assert(!rule.flags(dirtyDates(34, 300, 0.03)))
     assert(rule.flags(Domains.statusD.make(new Random(35), 200)))
+  }
+
+  /** FMDV-H over the oracle's candidates: every pattern of the oracle's
+    * column counts that reaches (1-θ)|C|, then the same selection.
+    */
+  private def oracleSolve(values: Seq[String], cfg: FmdvConfig = FmdvConfig()): Option[HSolution] = {
+    val vs = values.filter(_ != null)
+    val n = vs.size
+    if (n == 0) return None
+    val need = math.ceil((1 - cfg.theta) * n).toInt
+    val candidates = EnumerateOracle.columnPatternCounts(vs, cfg.tau, cfg.cap)
+      .collect { case (k, c) if c >= need => Pattern.parse(k) }.toVector
+    Fmdv.best(candidates, index, cfg).map(s => HSolution(s.pat, s.fpr, n - vs.count(v => s.pat.matches(v)), n))
+  }
+
+  test("FMDV-H and FMDV-VH equal a solve over the oracle's candidates on every B_E training prefix") {
+    val cases = TestFixtures.benchE
+    assert(cases.count(!_.isNL) == 120 && cases.exists(_.isNL))
+    val bad = EnumerateOracleSpec.inParallel(cases) { c =>
+      val train = c.train()
+      val want = oracleSolve(train)
+      // solveVH only falls through to FMDV-V, which never enumerates
+      // frequent patterns, when the flat solve has no rule
+      val ok = FmdvH.solve(train, index) == want &&
+        (want.isEmpty || FmdvH.solveVH(train, index) == want)
+      if (ok) None else Some(c.id)
+    }.flatten
+    assert(bad.isEmpty, s"${bad.size} cases differ: ${bad.take(5)}")
   }
 
   test("no solution on empty input") {

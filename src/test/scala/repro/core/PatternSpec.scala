@@ -71,8 +71,16 @@ class PatternSpec extends SparkSpec with PropHelpers {
       pat(ConstT("Mar"), FixLen(GClass.Digit, 2)),
       pat(VarLen(GClass.Alnum)),
       pat(ConstT("/"), ConstT("m"), ConstT("/"), VarLen(GClass.Alnum)),
-      pat(FixLen(GClass.Upper, 2), ConstT("-"), VarLen(GClass.Lower)))
-    for (p <- ps) assert(Pattern.parse(p.key) == p)
+      pat(FixLen(GClass.Upper, 2), ConstT("-"), VarLen(GClass.Lower)),
+      // literals holding the key separators, the escape, or an escape
+      // followed by what its encoding looks like
+      pat(ConstT("\u0001"), ConstT("\u0002"), ConstT("\u0003")),
+      pat(ConstT("x\u0002\u0001y"), FixLen(GClass.Digit, 2), ConstT("a\u00031b")),
+      pat(ConstT("\u0003\u0003"), ConstT("31\u0003")))
+    for (p <- ps) {
+      assert(Pattern.parse(p.key) == p, s"roundtrip of ${p.toks}")
+      assert(Pattern.tokenLengthOfKey(p.key) == p.tokenLength)
+    }
   }
 
   test("parse of an empty-const token") {
@@ -122,6 +130,21 @@ class PatternSpec extends SparkSpec with PropHelpers {
 
   test("property: key/parse roundtrip") {
     forSamples(genPat) { p => assert(Pattern.parse(p.key) == p) }
+  }
+
+  test("keys of printable literals carry no escape") {
+    val p = pat(ConstT("a/b"), VarLen(GClass.Digit))
+    assert(p.key == "C\u0002a/b\u0001V\u0002digit")
+  }
+
+  test("property: P(v) keys roundtrip for values with control characters") {
+    val genChar = Gen.frequency(
+      3 -> Gen.oneOf(('\u0000' to '\u0004') ++ "\t\n\r\u007f"),
+      4 -> Gen.oneOf(('a' to 'c') ++ ('A' to 'B') ++ ('0' to '3')),
+      2 -> Gen.oneOf("/-:. #"))
+    forSamples(Gen.choose(1, 10).flatMap(n => Gen.listOfN(n, genChar)).map(_.mkString), 200) { v =>
+      for (p <- Enumerate.patternsOf(v)) assert(Pattern.parse(p.key) == p, s"a pattern of '$v': ${p.toks}")
+    }
   }
 
   test("property: tokenLengthOfKey equals tokenLength") {
