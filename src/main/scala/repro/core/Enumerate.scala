@@ -18,7 +18,8 @@ import repro.core.Tokens.{Tok, Cls}
   *
   * Every entry point runs on one [[Counter]]: the cross-products are walked
   * down a prefix trie of interned token ids, and a `Pat` is built only for
-  * the trie nodes whose count reaches the caller's threshold.
+  * the trie nodes whose count reaches the caller's threshold (for H(C),
+  * every distinct value).
   */
 object Enumerate {
 
@@ -82,41 +83,89 @@ object Enumerate {
     */
   private type OptionIds = Array[Array[Array[Int]]]
 
+  /** An open-addressing map from `Long` keys (≥ 0) to dense ids 0, 1, 2, …
+    * handed out in insertion order, so callers keep per-key values in plain
+    * arrays indexed by id. Keys and ids lie side by side, so a probe touches
+    * one cache line. Starts small and doubles when half full, since one
+    * solve often counts only a few short values.
+    */
+  private final class IdMap {
+    private var bits = 7
+    private var slots = emptySlots(bits)
+    private var n = 0
+
+    private def emptySlots(bits: Int): Array[Long] = {
+      val a = new Array[Long](2 << bits)
+      java.util.Arrays.fill(a, -1L)
+      a
+    }
+
+    def size: Int = n
+
+    private def find(key: Long): Int = {
+      val mask = (1 << bits) - 1
+      var i = ((key * 0x9E3779B97F4A7C15L) >>> (64 - bits)).toInt
+      while (slots(2 * i) != -1L && slots(2 * i) != key) i = (i + 1) & mask
+      i
+    }
+
+    /** The id of `key`, or -1 when absent. */
+    def get(key: Long): Int = {
+      val i = find(key)
+      if (slots(2 * i) == -1L) -1 else slots(2 * i + 1).toInt
+    }
+
+    /** The id of `key`; an absent key gets the next id. */
+    def getOrAdd(key: Long): Int = {
+      var i = find(key)
+      if (slots(2 * i) == -1L) {
+        if (2 * (n + 1) > (1 << bits)) { grow(); i = find(key) }
+        slots(2 * i) = key; slots(2 * i + 1) = n; n += 1
+      }
+      slots(2 * i + 1).toInt
+    }
+
+    private def grow(): Unit = {
+      val old = slots
+      bits += 1
+      slots = emptySlots(bits)
+      var j = 0
+      while (j < old.length) {
+        if (old(j) != -1L) {
+          val i = find(old(j))
+          slots(2 * i) = old(j); slots(2 * i + 1) = old(j + 1)
+        }
+        j += 2
+      }
+    }
+  }
+
   /** Counts P(v) over the values of one column without materialising a
     * pattern per value. Option tokens are interned to `Int` ids; each
     * cross-product is walked depth-first down a prefix trie of those ids.
     * A node that ends a pattern keeps a count and the index of the last
     * value that reached it, so a pattern reached twice from one value (from
     * fine and from skeleton, say) counts once, with that value's
-    * multiplicity. Children are found through one open-addressing map keyed
-    * by (parent id, token id), so fan-out is unbounded. Tables start small
-    * and double, since one solve often counts only a few short values.
+    * multiplicity. The trie's edges live in an [[IdMap]] keyed by
+    * (parent id, token id): an edge is added exactly when its child is
+    * created, so edge id i leads to node i + 1, and fan-out is unbounded.
     */
   private final class Counter(tau: Int, cap: Int) {
     private val tokIds = new java.util.HashMap[PTok, Integer]
     private val tokens = collection.mutable.ArrayBuffer.empty[PTok]
 
     // node 0 is the root (the empty prefix)
-    private var nodes = 1
+    private val edges = new IdMap
     private var parent = new Array[Int](64)
     private var tokOf = new Array[Int](64)
     private var count = new Array[Int](64)
     private var stamp = new Array[Int](64)
     java.util.Arrays.fill(stamp, -1)
-    /** Last intersection round in which a surviving pattern lay below. */
-    private var live = new Array[Int](64)
     private var ends = new Array[Int](64)
     private var nEnds = 0
 
-    // (key, child) pairs side by side, so a probe touches one cache line
-    private var edgeBits = 7
-    private var edges = new Array[Long](2 << edgeBits)
-    java.util.Arrays.fill(edges, -1L)
-
     private var round = -1
     private var mult = 1
-    private var intersecting = false
-    private var hits = 0
 
     private def idOf(t: PTok): Int = {
       val id = tokIds.get(t)
@@ -148,55 +197,21 @@ object Enumerate {
       out
     }
 
-    private def slot(key: Long): Int = ((key * 0x9E3779B97F4A7C15L) >>> (64 - edgeBits)).toInt
-
-    /** The child of `node` along `tok`: -1 when absent, unless `create`. */
-    private def child(node: Int, tok: Int, create: Boolean): Int = {
-      if (create && 2 * (nodes + 1) > (1 << edgeBits)) growEdges()
-      val key = (node.toLong << 32) | tok
-      val mask = (1 << edgeBits) - 1
-      var i = slot(key)
-      while (edges(2 * i) != -1L) {
-        if (edges(2 * i) == key) return edges(2 * i + 1).toInt
-        i = (i + 1) & mask
-      }
-      if (!create) return -1
-      val c = newNode(node, tok)
-      edges(2 * i) = key; edges(2 * i + 1) = c
-      c
-    }
-
-    /** Doubles the edge table (kept at most half full). */
-    private def growEdges(): Unit = {
-      val old = edges
-      edgeBits += 1
-      edges = new Array[Long](2 << edgeBits)
-      java.util.Arrays.fill(edges, -1L)
-      val mask = (1 << edgeBits) - 1
-      var j = 0
-      while (j < old.length) {
-        if (old(j) != -1L) {
-          var i = slot(old(j))
-          while (edges(2 * i) != -1L) i = (i + 1) & mask
-          edges(2 * i) = old(j); edges(2 * i + 1) = old(j + 1)
+    /** The child of `node` along `tok`, created when absent. */
+    private def child(node: Int, tok: Int): Int = {
+      val before = edges.size
+      val c = edges.getOrAdd((node.toLong << 32) | tok) + 1
+      if (c > before) {
+        if (c == parent.length) {
+          val n = c * 2
+          parent = java.util.Arrays.copyOf(parent, n)
+          tokOf = java.util.Arrays.copyOf(tokOf, n)
+          count = java.util.Arrays.copyOf(count, n)
+          stamp = java.util.Arrays.copyOf(stamp, n)
+          java.util.Arrays.fill(stamp, c, n, -1)
         }
-        j += 2
+        parent(c) = node; tokOf(c) = tok
       }
-    }
-
-    private def newNode(node: Int, tok: Int): Int = {
-      if (nodes == parent.length) {
-        val n = nodes * 2
-        parent = java.util.Arrays.copyOf(parent, n)
-        tokOf = java.util.Arrays.copyOf(tokOf, n)
-        count = java.util.Arrays.copyOf(count, n)
-        live = java.util.Arrays.copyOf(live, n)
-        stamp = java.util.Arrays.copyOf(stamp, n)
-        java.util.Arrays.fill(stamp, nodes, n, -1)
-      }
-      val c = nodes
-      nodes += 1
-      parent(c) = node; tokOf(c) = tok
       c
     }
 
@@ -205,22 +220,11 @@ object Enumerate {
       else {
         val o = opts(depth)
         var i = 0
-        while (i < o.length) {
-          val c = child(node, o(i), !intersecting)
-          if (c > 0 && (!intersecting || live(c) >= round - 1)) walk(opts, depth + 1, c)
-          i += 1
-        }
+        while (i < o.length) { walk(opts, depth + 1, child(node, o(i))); i += 1 }
       }
 
     private def reach(node: Int): Unit =
-      if (intersecting) {
-        if (count(node) == round) {
-          count(node) = round + 1
-          hits += 1
-          var a = node
-          while (a != 0 && live(a) != round) { live(a) = round; a = parent(a) }
-        }
-      } else if (stamp(node) != round) {
+      if (stamp(node) != round) {
         if (stamp(node) < 0) {
           if (nEnds == ends.length) ends = java.util.Arrays.copyOf(ends, nEnds * 2)
           ends(nEnds) = node; nEnds += 1
@@ -229,25 +233,11 @@ object Enumerate {
         count(node) += mult
       }
 
-    private def walkAll(lists: OptionIds): Unit = {
-      var l = 0
-      while (l < lists.length) { walk(lists(l), 0, 0); l += 1 }
-    }
-
     /** Adds every pattern of the option lists' cross-products, `m` times. */
     def add(lists: OptionIds, m: Int): Unit = {
-      round += 1; mult = m; intersecting = false
-      walkAll(lists)
-    }
-
-    /** Keeps only the patterns that every value so far, and v, has; only
-      * trie nodes with a survivor below are walked. Valid after one `add`
-      * of multiplicity 1 and further `intersect`s. False when none survive.
-      */
-    def intersect(v: String): Boolean = {
-      round += 1; intersecting = true; hits = 0
-      walkAll(optionIds(v))
-      hits > 0
+      round += 1; mult = m
+      var l = 0
+      while (l < lists.length) { walk(lists(l), 0, 0); l += 1 }
     }
 
     private def patOf(node: Int): Pat = {
@@ -291,42 +281,13 @@ object Enumerate {
     * first-reached order.
     */
   private final class OptionCounts {
-    private var bits = 8
-    // zero marks an empty slot: a key's length field is at least 1
-    private var keys = new Array[Long](1 << bits)
-    private var counts = new Array[Int](1 << bits)
+    private val ids = new IdMap
+    private var counts = new Array[Int](64)
     /** 1 + index of the last value counted under the key. */
-    private var lastValue = new Array[Int](1 << bits)
-    private var size = 0
+    private var lastValue = new Array[Int](64)
 
     private def key(len: Int, d: Int, tok: Int): Long =
       (len.toLong << 48) | (d.toLong << 32) | tok
-
-    private def slot(key: Long): Int = ((key * 0x9E3779B97F4A7C15L) >>> (64 - bits)).toInt
-
-    private def find(key: Long): Int = {
-      val mask = (1 << bits) - 1
-      var i = slot(key)
-      while (keys(i) != 0L && keys(i) != key) i = (i + 1) & mask
-      i
-    }
-
-    /** Doubles the table (kept at most half full). */
-    private def grow(): Unit = {
-      val (oldKeys, oldCounts, oldLast) = (keys, counts, lastValue)
-      bits += 1
-      keys = new Array[Long](1 << bits)
-      counts = new Array[Int](1 << bits)
-      lastValue = new Array[Int](1 << bits)
-      var j = 0
-      while (j < oldKeys.length) {
-        if (oldKeys(j) != 0L) {
-          val i = find(oldKeys(j))
-          keys(i) = oldKeys(j); counts(i) = oldCounts(j); lastValue(i) = oldLast(j)
-        }
-        j += 1
-      }
-    }
 
     /** Counts value number `v` (from 0), of multiplicity `m`. */
     def add(lists: OptionIds, m: Int, v: Int): Unit = {
@@ -338,11 +299,10 @@ object Enumerate {
           val o = opts(d)
           var j = 0
           while (j < o.length) {
-            val k = key(opts.length, d, o(j))
-            var i = find(k)
-            if (keys(i) == 0L) {
-              if (2 * (size + 1) > keys.length) { grow(); i = find(k) }
-              keys(i) = k; size += 1
+            val i = ids.getOrAdd(key(opts.length, d, o(j)))
+            if (i == counts.length) {
+              counts = java.util.Arrays.copyOf(counts, 2 * i)
+              lastValue = java.util.Arrays.copyOf(lastValue, 2 * i)
             }
             if (lastValue(i) != v + 1) { lastValue(i) = v + 1; counts(i) += m }
             j += 1
@@ -354,8 +314,8 @@ object Enumerate {
     }
 
     private def countOf(len: Int, d: Int, tok: Int): Int = {
-      val i = find(key(len, d, tok))
-      if (keys(i) == 0L) 0 else counts(i)
+      val i = ids.get(key(len, d, tok))
+      if (i < 0) 0 else counts(i)
     }
 
     /** `lists` with the options counted fewer than `minCount` times
@@ -445,17 +405,12 @@ object Enumerate {
 
   /** H(C) = ∩_{v∈C} P(v), over distinct non-empty values. Empty result means
     * the column has no single consistent pattern (heterogeneous values).
+    * Each distinct value counts once toward a pattern, so H(C) is exactly
+    * the patterns counted |distinct| times.
     */
   def hypothesis(values: Seq[String], tau: Int = DefaultTau, cap: Int = DefaultCap): Vector[Pat] = {
     val distinct = values.filter(v => v != null && v.nonEmpty).distinct
-    if (distinct.isEmpty) return Vector.empty
-    // The trie is built from the first value; later values only walk it.
-    val c = new Counter(tau, cap)
-    c.add(c.optionIds(distinct.head), 1)
-    val it = distinct.iterator.drop(1)
-    var alive = true
-    while (alive && it.hasNext) alive = c.intersect(it.next())
-    if (alive) c.survivors(distinct.size).map(_._1) else Vector.empty
+    frequentPatterns(distinct, distinct.size, tau, cap).map(_._1)
   }
 
   /** Per-column pattern→match-count map: for each pattern p ∈ P(D), the

@@ -19,9 +19,7 @@ import repro.index.PatternIndex
 object FmdvH {
 
   /** Result: chosen pattern + the train-time non-conformance it tolerates. */
-  final case class HSolution(pat: Pat, fpr: Double, nonConfTrain: Int, nTrain: Int) {
-    def thetaTrain: Double = if (nTrain == 0) 0.0 else nonConfTrain.toDouble / nTrain
-  }
+  final case class HSolution(pat: Pat, fpr: Double, nonConfTrain: Int, nTrain: Int)
 
   /** FMDV-H: flat horizontal cut (full-column patterns only). */
   def solve(values: Seq[String], index: PatternIndex,

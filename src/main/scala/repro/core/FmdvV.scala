@@ -22,7 +22,6 @@ object FmdvV {
   final case class VSolution(segments: Vector[Solution]) {
     def pattern: Pat = Pattern.concat(segments.map(_.pat))
     def totalFpr: Double = segments.map(_.fpr).sum
-    def minCov: Long = if (segments.isEmpty) 0L else segments.map(_.cov).min
   }
 
   def solve(values: Seq[String], index: PatternIndex,

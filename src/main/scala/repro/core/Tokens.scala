@@ -8,6 +8,12 @@ package repro.core
   * symbol characters ("--" is one token, "-." is two), because delimiters in
   * machine-generated formats are literal.
   *
+  * Digits and letters are ASCII only, the alphabet the pattern classes
+  * compile to (`[0-9]`, `[A-Za-z]`); every other character, non-ASCII
+  * letters included, is a symbol and stays literal, so each pattern of a
+  * value matches it. Values are lexed by code point, so a surrogate pair
+  * is never split.
+  *
   * A second, *merged* granularity collapses maximal alphanumeric stretches
   * (adjacent digit/letter runs) into a single Alnum token — this is how
   * hex-like ids ("0a1b2c…") stay under the token budget τ and generalize to
@@ -20,9 +26,9 @@ object Tokens {
   object Cls {
     /** A maximal run of ASCII digits. */
     case object Digit extends Cls
-    /** A maximal run of letters (any case). */
+    /** A maximal run of ASCII letters (any case). */
     case object Letter extends Cls
-    /** A run of one repeated non-alphanumeric character (incl. space). */
+    /** A run of one repeated other code point (incl. space). */
     case object Symbol extends Cls
     /** A merged run of digits and letters (merged granularity only). */
     case object Alnum extends Cls
@@ -35,9 +41,9 @@ object Tokens {
     def isLower: Boolean = cls == Cls.Letter && text.forall(_.isLower)
   }
 
-  private def clsOf(c: Char): Cls =
+  private def clsOf(c: Int): Cls =
     if (c >= '0' && c <= '9') Cls.Digit
-    else if (c.isLetter) Cls.Letter
+    else if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')) Cls.Letter
     else Cls.Symbol
 
   /** Fine-grained tokenization into digit / letter / symbol runs. */
@@ -47,14 +53,16 @@ object Tokens {
     var i = 0
     val n = s.length
     while (i < n) {
-      val c = s.charAt(i)
+      val c = s.codePointAt(i)
       val cl = clsOf(c)
-      var j = i + 1
+      val w = Character.charCount(c)
+      var j = i + w
       cl match {
         case Cls.Symbol =>
-          // grow only over the identical symbol character
-          while (j < n && s.charAt(j) == c) j += 1
+          // grow only over the identical symbol code point
+          while (j < n && s.codePointAt(j) == c) j += w
         case _ =>
+          // digits and letters are ASCII, one char each
           while (j < n && clsOf(s.charAt(j)) == cl) j += 1
       }
       out += Tok(cl, s.substring(i, j))
@@ -88,28 +96,18 @@ object Tokens {
     out.result()
   }
 
-  /** Number of tokens t(v) (paper §2.4) — fine granularity. */
-  def tokenCount(s: String): Int = tokenize(s).length
-
   /** Coarse signature used for horizontal grouping and MSA: the sequence of
     * classes, with symbol tokens kept literal (delimiters identify formats).
     */
-  def signature(s: String): Vector[String] =
-    tokenize(s).map {
-      case Tok(Cls.Digit, _)  => "D"
-      case Tok(Cls.Letter, _) => "L"
-      case Tok(Cls.Alnum, _)  => "A"
-      case Tok(Cls.Symbol, t) => s"'$t'"
-    }
-
-  /** Signature as one string key (for grouping). */
-  def signatureKey(s: String): String = signature(s).mkString("|")
+  def signatureKey(s: String): String = keyOf(tokenize(s))
 
   /** Coarse signature at the merged granularity (hex-like ids collapse to a
     * single "A"), used for horizontal grouping of values.
     */
-  def signatureMergedKey(s: String): String =
-    tokenizeMerged(s).map {
+  def signatureMergedKey(s: String): String = keyOf(tokenizeMerged(s))
+
+  private def keyOf(toks: Vector[Tok]): String =
+    toks.map {
       case Tok(Cls.Digit, _)  => "D"
       case Tok(Cls.Letter, _) => "L"
       case Tok(Cls.Alnum, _)  => "A"

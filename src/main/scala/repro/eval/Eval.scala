@@ -30,9 +30,7 @@ object Eval {
       hasRule: Boolean,
       precision: Int,
       recall: Double) {
-    def f1: Double =
-      if (precision + recall <= 0) 0.0
-      else 2.0 * precision * recall / (precision + recall)
+    def f1: Double = Eval.f1(precision, recall)
   }
 
   final case class MethodScore(
@@ -40,10 +38,13 @@ object Eval {
       precision: Double,
       recall: Double,
       cases: Vector[CaseOutcome]) {
-    def f1: Double =
-      if (precision + recall <= 0) 0.0
-      else 2.0 * precision * recall / (precision + recall)
+    def f1: Double = Eval.f1(precision, recall)
   }
+
+  /** Harmonic mean of precision and recall; 0 when both are 0. */
+  def f1(precision: Double, recall: Double): Double =
+    if (precision + recall <= 0) 0.0
+    else 2.0 * precision * recall / (precision + recall)
 
   /** The subset "where syntactic patterns exist" (§5.3). */
   def patternedSubset(cases: Seq[BenchCase]): Vector[BenchCase] =
@@ -101,8 +102,14 @@ object Eval {
 
   /** Render scores as an aligned text table (printed by jobs/benches). */
   def renderScores(title: String, scores: Seq[MethodScore]): String = {
-    val header = f"${"method"}%-14s ${"precision"}%9s ${"recall"}%9s ${"F1"}%9s"
-    val lines = scores.map(s => f"${s.method}%-14s ${s.precision}%9.3f ${s.recall}%9.3f ${s.f1}%9.3f")
-    (s"== $title ==" +: header +: lines).mkString("\n")
+    val lines = scores.map(s => scoreRow(s.method, s.precision, s.recall))
+    (s"== $title ==" +: scoreHeader +: lines).mkString("\n")
   }
+
+  /** Header of a [[scoreRow]] table. */
+  val scoreHeader: String = f"${"method"}%-14s ${"precision"}%9s ${"recall"}%9s ${"F1"}%9s"
+
+  /** One aligned row: method, precision, recall and their F1. */
+  def scoreRow(method: String, precision: Double, recall: Double): String =
+    f"$method%-14s $precision%9.3f $recall%9.3f ${f1(precision, recall)}%9.3f"
 }

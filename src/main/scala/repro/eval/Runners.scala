@@ -107,13 +107,13 @@ object Runners {
     val scores = Eval.evaluateAll(ms, cases)
     val fdUb = UpperBounds.fdUpperBoundRecall(subset)
     val adUb = UpperBounds.adUpperBoundRecall(subset, art.cols(corpus))
-    val lines = scores.map(s => f"${s.method}%-14s ${s.precision}%9.3f ${s.recall}%9.3f ${s.f1}%9.3f") ++
-      Seq(f"${"FD-UB"}%-14s ${1.0}%9.3f $fdUb%9.3f ${2 * fdUb / (1 + fdUb)}%9.3f (recall upper bound)",
-        f"${"AD-UB"}%-14s ${1.0}%9.3f $adUb%9.3f ${2 * adUb / (1 + adUb)}%9.3f (recall upper bound)")
+    val lines = scores.map(s => Eval.scoreRow(s.method, s.precision, s.recall)) ++
+      Seq(Eval.scoreRow("FD-UB", 1.0, fdUb) + " (recall upper bound)",
+        Eval.scoreRow("AD-UB", 1.0, adUb) + " (recall upper bound)")
     val rendered = (Seq(
       s"== Figure 10(${if (corpus == "E") "a" else "b"}) as a table: benchmark B_$corpus ==",
       s"(${subset.size} of ${cases.size} cases have syntactic patterns; scores on that subset)",
-      f"${"method"}%-14s ${"precision"}%9s ${"recall"}%9s ${"F1"}%9s") ++ lines).mkString("\n")
+      Eval.scoreHeader) ++ lines).mkString("\n")
     Fig10Result(scores, fdUb, adUb, subset.size, cases.size, rendered)
   }
 

@@ -5,7 +5,7 @@ import repro.{PropHelpers, SparkSpec}
 import repro.core.Pattern._
 
 class EnumerateSpec extends SparkSpec with PropHelpers {
-  import EnumerateSpec.genValue
+  import EnumerateSpec.{genUnicode, genValue}
 
   private def displays(v: String): Set[String] =
     Enumerate.patternsOf(v).map(_.display).toSet
@@ -55,19 +55,19 @@ class EnumerateSpec extends SparkSpec with PropHelpers {
 
   test("every pattern in P(v) regex-matches v (hand-picked)") {
     for (v <- Seq("9/12/2019", "en-US", "ORD-00012345", "/m/0abc12", "a1b2c3",
-                  "9:07:45 AM", "{X}", "3.14"))
+                  "9:07:45 AM", "{X}", "3.14", "café", "ß9", "x😀y", "e\u0301", "１２"))
       for (p <- Enumerate.patternsOf(v))
         assert(p.matches(v), s"${p.display} should match '$v'")
   }
 
   test("property: every pattern in P(v) matches v") {
-    forSamples(genValue, 60) { v =>
+    for (gen <- Seq(genValue, genUnicode)) forSamples(gen, 60) { v =>
       for (p <- Enumerate.patternsOf(v)) assert(p.matches(v), s"${p.display} vs '$v'")
     }
   }
 
   test("property: P(v) contains no duplicate keys") {
-    forSamples(genValue, 60) { v =>
+    for (gen <- Seq(genValue, genUnicode)) forSamples(gen, 60) { v =>
       val keys = Enumerate.patternsOf(v).map(_.key)
       assert(keys.distinct.size == keys.size)
     }
@@ -156,4 +156,21 @@ object EnumerateSpec {
     Gen.alphaStr.suchThat(_.nonEmpty).map(_.take(12)))
 
   val genValue: Gen[String] = Gen.oneOf(valueGens).flatMap(identity)
+
+  /** Arbitrary Unicode beside ASCII: non-ASCII letters, surrogate pairs,
+    * combining marks, fullwidth digits, control characters and any other
+    * code point (lone surrogates are not text, so they are left out).
+    */
+  val genUnicode: Gen[String] = {
+    val codePoint = Gen.frequency(
+      4 -> Gen.oneOf(('a' to 'c') ++ ('A' to 'C') ++ ('0' to '3') ++ "/-:. ").map(_.toInt),
+      1 -> Gen.oneOf("éßЖω中ǅ").map(_.toInt),
+      1 -> Gen.choose(0x1F600, 0x1F64F),
+      1 -> Gen.choose(0x0300, 0x036F),
+      1 -> Gen.choose(0xFF10, 0xFF19),
+      1 -> Gen.oneOf((0x00 to 0x1F) :+ 0x7F),
+      1 -> Gen.choose(0x80, 0x10FFFF).suchThat(c => c < 0xD800 || c > 0xDFFF))
+    Gen.choose(1, 10).flatMap(Gen.listOfN(_, codePoint))
+      .map(cs => new String(cs.toArray, 0, cs.size))
+  }
 }

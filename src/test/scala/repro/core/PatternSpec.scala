@@ -142,7 +142,8 @@ class PatternSpec extends SparkSpec with PropHelpers {
       3 -> Gen.oneOf(('\u0000' to '\u0004') ++ "\t\n\r\u007f"),
       4 -> Gen.oneOf(('a' to 'c') ++ ('A' to 'B') ++ ('0' to '3')),
       2 -> Gen.oneOf("/-:. #"))
-    forSamples(Gen.choose(1, 10).flatMap(n => Gen.listOfN(n, genChar)).map(_.mkString), 200) { v =>
+    val controls = Gen.choose(1, 10).flatMap(n => Gen.listOfN(n, genChar)).map(_.mkString)
+    for (gen <- Seq(controls, EnumerateSpec.genUnicode)) forSamples(gen, 200) { v =>
       for (p <- Enumerate.patternsOf(v)) assert(Pattern.parse(p.key) == p, s"a pattern of '$v': ${p.toks}")
     }
   }

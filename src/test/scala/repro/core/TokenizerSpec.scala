@@ -58,8 +58,8 @@ class TokenizerSpec extends SparkSpec {
   }
 
   test("tokenCount counts runs") {
-    assert(tokenCount("9/12/2019") == 5)
-    assert(tokenCount("9:07:45 AM") == 7)
+    assert(tokenize("9/12/2019").length == 5)
+    assert(tokenize("9:07:45 AM").length == 7)
   }
 
   test("merged tokenization collapses adjacent digit/letter runs") {
@@ -89,7 +89,6 @@ class TokenizerSpec extends SparkSpec {
   }
 
   test("signature marks classes and keeps symbol text") {
-    assert(signature("9/12/2019") == Vector("D", "'/'", "D", "'/'", "D"))
     assert(signatureKey("9/12/2019") == "D|'/'|D|'/'|D")
   }
 
@@ -108,12 +107,17 @@ class TokenizerSpec extends SparkSpec {
     assert(signatureMergedKey("12") == "D")
   }
 
-  test("unicode letters tokenize as letters") {
-    assert(tokenize("café") == Vector(Tok(Cls.Letter, "café")))
+  test("non-ASCII letters are literal symbols, lexed by code point") {
+    assert(tokenize("café") == Vector(Tok(Cls.Letter, "caf"), Tok(Cls.Symbol, "é")))
+    assert(tokenize("ß9") == Vector(Tok(Cls.Symbol, "ß"), Tok(Cls.Digit, "9")))
+    // a surrogate pair stays whole, and a run groups identical code points
+    assert(tokenize("x😀😀y") == Vector(
+      Tok(Cls.Letter, "x"), Tok(Cls.Symbol, "😀😀"), Tok(Cls.Letter, "y")))
+    assert(tokenize("😀😁").map(_.text) == Vector("😀", "😁"))
   }
 
   test("reconstruction: concatenating token texts restores the value") {
-    for (v <- Seq("9/12/2019 9:07:45 AM", "{A3F0-11}", "x=1;y=2", "  ", "a1b2c3-99"))
+    for (v <- Seq("9/12/2019 9:07:45 AM", "{A3F0-11}", "x=1;y=2", "  ", "a1b2c3-99", "x😀😁y", "e\u0301"))
       assert(tokenize(v).map(_.text).mkString == v)
   }
 
