@@ -34,9 +34,9 @@ object BuildIndexJob {
     try {
       val ds = if (corpus == "E") LakeGen.corpus(spark, LakeGen.Enterprise)
                else LakeGen.corpus(spark, LakeGen.Government)
-      val df = OfflineIndexer.build(ds)
-      OfflineIndexer.save(df, out)
-      println(s"index for T_$corpus written to $out (${spark.read.parquet(out).count()} patterns)")
+      val idx = OfflineIndexer.buildIndex(ds)
+      OfflineIndexer.save(spark, idx, out)
+      println(s"index for T_$corpus written to $out (${idx.size} patterns)")
     } finally spark.stop()
   }
 }

@@ -289,14 +289,22 @@ object Enumerate {
     private def key(len: Int, d: Int, tok: Int): Long =
       (len.toLong << 48) | (d.toLong << 32) | tok
 
-    /** Counts value number `v` (from 0), of multiplicity `m`. */
-    def add(lists: OptionIds, m: Int, v: Int): Unit = {
+    /** Counts value number `v` (from 0), of multiplicity `m`. True when
+      * one of its lists has, at every position, an option counted at least
+      * `need` times so far; otherwise, with `need` = minCount − the
+      * multiplicity still to be counted, the value is in no frequent
+      * pattern.
+      */
+    def add(lists: OptionIds, m: Int, v: Int, need: Int): Boolean = {
+      var alive = false
       var l = 0
       while (l < lists.length) {
         val opts = lists(l)
+        var full = true
         var d = 0
         while (d < opts.length) {
           val o = opts(d)
+          var reached = false
           var j = 0
           while (j < o.length) {
             val i = ids.getOrAdd(key(opts.length, d, o(j)))
@@ -305,12 +313,16 @@ object Enumerate {
               lastValue = java.util.Arrays.copyOf(lastValue, 2 * i)
             }
             if (lastValue(i) != v + 1) { lastValue(i) = v + 1; counts(i) += m }
+            reached ||= counts(i) >= need
             j += 1
           }
+          full &&= reached
           d += 1
         }
+        alive ||= full
         l += 1
       }
+      alive
     }
 
     private def countOf(len: Int, d: Int, tok: Int): Int = {
@@ -351,20 +363,32 @@ object Enumerate {
 
   /** Each distinct non-empty value's multiplicity and interned option
     * lists, in first-seen order; for `minCount > 1`, through the exact
-    * [[OptionCounts]] pre-filter.
+    * [[OptionCounts]] pre-filter. Values in no frequent pattern cannot
+    * count toward one, so once they hold more than `total − minCount` of
+    * the multiplicity no pattern is frequent: the pre-count stops there,
+    * without interning the rest, and every value's lists are empty.
     */
   private def columnOptions(c: Counter, values: Seq[String], minCount: Int,
                             tau: Int): (Array[Int], Array[OptionIds]) = {
     val mult = collection.mutable.LinkedHashMap.empty[String, Int]
     for (v <- values if v != null && v.nonEmpty) mult.update(v, mult.getOrElse(v, 0) + 1)
     val ms = mult.valuesIterator.toArray
-    val lists = mult.keysIterator.map(c.optionIds).toArray
-    if (minCount <= 1 || tau >= MaxKeyedLength) (ms, lists)
+    val vs = mult.keysIterator.toArray
+    if (minCount <= 1 || tau >= MaxKeyedLength) (ms, vs.map(c.optionIds))
     else {
       val oc = new OptionCounts
+      val lists = new Array[OptionIds](vs.length)
+      var rest = ms.sum
+      val spare = rest - minCount
+      var dead = 0
       var i = 0
-      while (i < lists.length) { oc.add(lists(i), ms(i), i); i += 1 }
-      (ms, lists.map(oc.frequent(_, minCount)))
+      while (i < vs.length && dead <= spare) {
+        lists(i) = c.optionIds(vs(i))
+        rest -= ms(i)
+        if (!oc.add(lists(i), ms(i), i, minCount - rest)) dead += ms(i)
+        i += 1
+      }
+      (ms, if (dead > spare) Array.fill(vs.length)(new OptionIds(0)) else lists.map(oc.frequent(_, minCount)))
     }
   }
 

@@ -1,7 +1,6 @@
 package repro.index
 
 import org.apache.spark.sql.Dataset
-import org.apache.spark.sql.functions._
 import repro.core.{Enumerate, Fmdv, FmdvConfig, Solution}
 import repro.lake.LakeColumn
 
@@ -17,16 +16,7 @@ object NoIndexFmdv {
             idxCfg: OfflineIndexer.IndexConfig = OfflineIndexer.IndexConfig()): Option[Solution] = {
     val hs = Enumerate.hypothesis(values, cfg.tau, cfg.cap)
     if (hs.isEmpty) return None
-    val spark = corpus.sparkSession
-    import spark.implicits._
-    val wanted = spark.sparkContext.broadcast(hs.map(_.key).toSet)
-    val statsDf = corpus
-      .flatMap(c => OfflineIndexer.localEvidence(c.values, idxCfg)
-        .filter { case (k, _) => wanted.value.contains(k) })
-      .toDF("pattern", "imp")
-      .groupBy($"pattern")
-      .agg(avg($"imp").as("fpr"), count(lit(1)).as("cov"))
-    val mini = OfflineIndexer.collectIndex(statsDf)
-    Fmdv.best(hs, mini, cfg)
+    val wanted = hs.map(_.key).toSet
+    Fmdv.best(hs, OfflineIndexer.aggregate(corpus, idxCfg, wanted), cfg)
   }
 }

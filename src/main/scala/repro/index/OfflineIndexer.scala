@@ -1,17 +1,20 @@
 package repro.index
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.Enumerate
 import repro.lake.LakeColumn
 
-/** Offline indexing stage (§2.4), as a Spark dataflow.
+/** Offline indexing stage (§2.4), as one Spark pass.
   *
   * One full scan of the corpus T: for each column D, enumerate
   * P(D) = ∪_{v∈D, t(v)≤τ} P(v) and the local impurity
-  * Imp_D(p) = |{v ∈ D : p ∉ P(v)}| / |D|; then a map/reduce aggregation per
-  * pattern computes FPR_T(p) = avg over matched columns of Imp_D(p)
-  * (Definition 3) and Cov_T(p) = number of matched columns.
+  * Imp_D(p) = |{v ∈ D : p ∉ P(v)}| / |D|. Each partition sums its columns'
+  * evidence per pattern (the map side of a map/reduce); the driver merges
+  * the partitions' sums in partition order (the reduce) into
+  * FPR_T(p) = avg over matched columns of Imp_D(p) (Definition 3) and
+  * Cov_T(p) = number of matched columns. The pass writes no shuffle, and
+  * one partitioning gives bit-identical sums from run to run.
   *
   * The result is a small lookup table (pattern, fpr, cov) — the online stage
   * never rescans T.
@@ -59,34 +62,39 @@ object OfflineIndexer {
       .map { case (p, cnt) => (p.key, 1.0 - cnt / n) }
   }
 
-  /** Build the index DataFrame (pattern, fpr, cov) from a corpus of columns. */
-  def build(cols: Dataset[LakeColumn], cfg: IndexConfig = IndexConfig()): DataFrame = {
-    val spark = cols.sparkSession
-    import spark.implicits._
-    cols
-      .flatMap(c => localEvidence(c.values, cfg))
-      .toDF("pattern", "imp")
-      .groupBy($"pattern")
-      .agg(avg($"imp").as("fpr"), count(lit(1)).as("cov"))
-      .where(col("cov") >= cfg.minCov)
+  /** One scan of `cols`: each partition combines its columns' evidence into
+    * (Σ Imp_D(p), count) per key, dropping keys outside `keep`, and the
+    * driver merges the partitions in order and drops entries below `minCov`.
+    */
+  private[index] def aggregate(cols: Dataset[LakeColumn], cfg: IndexConfig,
+                               keep: String => Boolean = _ => true): PatternIndex = {
+    def add(to: mutable.HashMap[String, (Double, Long)], k: String, imp: Double, cov: Long): Unit =
+      to(k) = to.get(k).fold((imp, cov)) { case (i, c) => (i + imp, c + cov) }
+    val parts = cols.rdd.mapPartitions { it =>
+      val part = mutable.HashMap.empty[String, (Double, Long)]
+      for (c <- it; (k, imp) <- localEvidence(c.values, cfg) if keep(k)) add(part, k, imp, 1L)
+      // parallel arrays: the task result is serialized with no object per entry
+      Iterator.single((part.keys.toArray, part.values.map(_._1).toArray, part.values.map(_._2).toArray))
+    }.collect()
+    val all = mutable.HashMap.empty[String, (Double, Long)]
+    for ((keys, imps, covs) <- parts; i <- keys.indices) add(all, keys(i), imps(i), covs(i))
+    new PatternIndex(all.iterator.collect {
+      case (k, (imp, cov)) if cov >= cfg.minCov => k -> PatternStats(imp / cov, cov)
+    }.toMap)
   }
 
-  /** Collect an index DataFrame into the in-memory lookup structure. */
-  def collectIndex(indexDf: DataFrame): PatternIndex = {
-    val m = indexDf.select("pattern", "fpr", "cov").collect().iterator.map { r =>
-      r.getString(0) -> PatternStats(r.getDouble(1), r.getLong(2))
-    }.toMap
-    new PatternIndex(m)
-  }
-
-  /** One-call convenience: scan corpus, aggregate, collect. */
+  /** Scan the corpus once and collect its index. */
   def buildIndex(cols: Dataset[LakeColumn], cfg: IndexConfig = IndexConfig()): PatternIndex =
-    collectIndex(build(cols, cfg))
+    aggregate(cols, cfg)
 
   /** Persist / restore the index (parquet on the local filesystem). */
-  def save(indexDf: DataFrame, path: String): Unit =
-    indexDf.write.mode("overwrite").parquet(path)
+  def save(spark: SparkSession, idx: PatternIndex, path: String): Unit = {
+    import spark.implicits._
+    idx.entries.toSeq.map { case (k, s) => (k, s.fpr, s.cov) }.toDF("pattern", "fpr", "cov")
+      .write.mode("overwrite").parquet(path)
+  }
 
   def load(spark: SparkSession, path: String): PatternIndex =
-    collectIndex(spark.read.parquet(path))
+    new PatternIndex(spark.read.parquet(path).select("pattern", "fpr", "cov").collect().iterator
+      .map(r => r.getString(0) -> PatternStats(r.getDouble(1), r.getLong(2))).toMap)
 }

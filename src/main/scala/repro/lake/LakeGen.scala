@@ -160,11 +160,15 @@ object LakeGen {
     out.result()
   }
 
-  /** The corpus as a Spark Dataset, ready for the offline indexer. */
+  /** The corpus as a Spark Dataset, ready for the offline indexer: the
+    * generated columns, in order, cut into 4 slices per core. A slice is a
+    * partition, so the indexer's scan needs no shuffle, and the many small
+    * slices keep every core busy while the columns' enumeration work varies.
+    */
   def corpus(spark: SparkSession, cfg: LakeConfig): Dataset[LakeColumn] = {
     import spark.implicits._
-    spark.createDataset(generateColumns(cfg)).repartition(
-      math.max(8, spark.sparkContext.defaultParallelism))
+    val sc = spark.sparkContext
+    spark.createDataset(sc.parallelize(generateColumns(cfg), 4 * sc.defaultParallelism))
   }
 
   /** Table 1 statistics (computed with DataFrame aggregation in the job). */

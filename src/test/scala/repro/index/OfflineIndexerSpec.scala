@@ -6,8 +6,8 @@ import repro.core.Pattern._
 import repro.index.OfflineIndexer.IndexConfig
 import repro.lake.LakeColumn
 
-/** Offline indexing: local evidence, the Spark aggregation (checked against
-  * DuckDB), pruning, and persistence.
+/** Offline indexing: local evidence, the one-pass aggregation (checked
+  * against DuckDB and across corpus slicings), pruning, and persistence.
   */
 class OfflineIndexerSpec extends SparkSpec {
 
@@ -56,6 +56,14 @@ class OfflineIndexerSpec extends SparkSpec {
       "<alnum>{8}-<alnum>{4}-<alnum>{4}-<alnum>{4}-<alnum>{12}"))
   }
 
+  /** A corpus Dataset cut into exactly `slices` partitions, in order. */
+  private def sliced(cols: Seq[LakeColumn], slices: Int) = {
+    import spark.implicits._
+    val ds = spark.createDataset(spark.sparkContext.parallelize(cols, slices))
+    assert(ds.rdd.getNumPartitions == slices)
+    ds
+  }
+
   test("build: aggregation matches DuckDB (oracle)") {
     import spark.implicits._
     val cols = Vector(
@@ -63,16 +71,42 @@ class OfflineIndexerSpec extends SparkSpec {
       col("c2", Seq("88", "9", "77")),
       col("c3", Seq("ab", "cd", "ef")),
       col("c4", Seq("12/31/2020", "1/2/2021")))
-    val ds = spark.createDataset(cols)
-    val built = OfflineIndexer.build(ds, cfg)
+    val built = OfflineIndexer.buildIndex(sliced(cols, 3), cfg).entries.toSeq
+      .map { case (k, st) => (k, st.fpr, st.cov) }.toDF("pattern", "fpr", "cov")
     // reference evidence computed driver-side with the same local function
     val ev = cols.flatMap(c => OfflineIndexer.localEvidence(c.values, cfg))
     val evDf = ev.toDF("pattern", "imp")
     Oracle.assertEquivalent(
-      built.select($"pattern", $"fpr", $"cov"),
+      built,
       s"""SELECT pattern, avg(CAST(imp AS DOUBLE)) AS fpr, count(*) AS cov
          |FROM ev GROUP BY pattern HAVING count(*) >= ${cfg.minCov}""".stripMargin,
       "ev" -> evDf)
+  }
+
+  test("build: the index does not depend on how the corpus is sliced") {
+    def same(a: PatternIndex, b: PatternIndex, what: String): Unit = {
+      assert(a.entries.keySet == b.entries.keySet, what)
+      for ((k, st) <- a.entries) {
+        assert(b.entries(k).cov == st.cov, s"$what: $k")
+        assert(math.abs(b.entries(k).fpr - st.fpr) <= 1e-12, s"$what: $k")
+      }
+    }
+    val cols = TestFixtures.corpusGColumns.take(160)
+    val one = OfflineIndexer.buildIndex(sliced(cols, 1), cfg)
+    assert(one.size > 100)
+    for (n <- Seq(3, 17)) same(one, OfflineIndexer.buildIndex(sliced(cols, n), cfg), s"$n slices")
+    // more slices than columns: most partitions are empty
+    val few = cols.take(12)
+    same(OfflineIndexer.buildIndex(sliced(few, 1), cfg),
+      OfflineIndexer.buildIndex(sliced(few, few.size + 5), cfg), "empty partitions")
+  }
+
+  test("build: a corpus without enumerable columns gives an empty index") {
+    val wide = (1 to 30).map(i => (1 to 20).map(_ => i).mkString("-"))
+    assert(OfflineIndexer.buildIndex(sliced(Nil, 4), cfg).size == 0)
+    val unusable = Vector(col("nulls", Seq(null, null)), col("empty", Seq("", null)),
+      col("wide1", wide), col("wide2", wide.reverse))
+    assert(OfflineIndexer.buildIndex(sliced(unusable, 3), cfg).size == 0)
   }
 
   test("build: the test lake's index equals one aggregated from the cross-product oracle") {
@@ -112,14 +146,13 @@ class OfflineIndexerSpec extends SparkSpec {
   }
 
   test("save/load roundtrip through parquet") {
-    import spark.implicits._
     val cols = Vector(col("a", Seq("12", "34")), col("b", Seq("56", "78")))
-    val df = OfflineIndexer.build(spark.createDataset(cols), cfg)
+    val idx = OfflineIndexer.buildIndex(sliced(cols, 2), cfg)
+    assert(idx.size > 0)
     val dir = java.nio.file.Files.createTempDirectory("idx").toString + "/index.parquet"
-    OfflineIndexer.save(df, dir)
+    OfflineIndexer.save(spark, idx, dir)
     val loaded = OfflineIndexer.load(spark, dir)
-    val direct = OfflineIndexer.collectIndex(df)
-    assert(loaded.entries == direct.entries)
+    assert(loaded.entries == idx.entries)
   }
 
   test("PatternIndex analytics: token-length histogram and coverage buckets") {

@@ -95,5 +95,7 @@ class LakeGenSpec extends SparkSpec {
   test("corpus Dataset round-trips through Spark") {
     val ds = LakeGen.corpus(spark, LakeGen.Government)
     assert(ds.count() == gCols.size)
+    // every generated column exactly once, in generation order
+    assert(ds.collect().toVector == gCols)
   }
 }
