@@ -1,9 +1,9 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.TestFixtures
 import repro.eval.Runners
 
 /** Artifacts shared by all bench suites (indexes cached per corpus/τ). */
 object BenchFixtures {
-  lazy val art: Runners.Artifacts = new Runners.Artifacts(SparkSpec.shared)
+  def art: Runners.Artifacts = TestFixtures.art
 }

@@ -44,25 +44,15 @@ object Fmdv {
   def solve(values: Seq[String], index: PatternIndex, cfg: FmdvConfig = FmdvConfig()): Option[Solution] =
     best(Enumerate.hypothesis(values, cfg.tau, cfg.cap), index, cfg)
 
-  /** Select the best feasible pattern among candidates. */
+  /** Select the best feasible pattern among candidates: the least of the
+    * preference key (fpr, −cov, −specificity, key), i.e. the lowest FPR,
+    * then the highest coverage, the most specific pattern and the least key.
+    */
   def best(candidates: Seq[Pat], index: PatternIndex, cfg: FmdvConfig): Option[Solution] = {
-    var chosen: Option[Solution] = None
-    for (h <- candidates; st <- index.lookup(h.key)) {
-      if (st.fpr <= cfg.r && st.cov >= cfg.m) {
-        val s = Solution(h, st.fpr, st.cov)
-        chosen = chosen match {
-          case None => Some(s)
-          case Some(c) =>
-            val better =
-              s.fpr < c.fpr ||
-                (s.fpr == c.fpr && (s.cov > c.cov ||
-                  (s.cov == c.cov && (s.pat.specificity > c.pat.specificity ||
-                    (s.pat.specificity == c.pat.specificity && s.pat.key < c.pat.key)))))
-            if (better) Some(s) else chosen
-        }
-      }
-    }
-    chosen
+    import Ordering.Double.TotalOrdering
+    val feasible = for (h <- candidates; st <- index.lookup(h.key) if st.fpr <= cfg.r && st.cov >= cfg.m)
+      yield Solution(h, st.fpr, st.cov)
+    feasible.minByOption(s => (s.fpr, -s.cov, -s.pat.specificity, s.pat.key))
   }
 
   /** FMDV as a validation [[Method]] (strict matching, like the paper's

@@ -30,10 +30,6 @@ object FmdvV {
     if (vs.isEmpty) return None
     val aligned = Msa.alignValues(vs)
     val n = aligned.length
-    if (n == 0) return None
-
-    // memo(s)(e): Some(best) / None = infeasible; null = not yet computed
-    val memo = Array.ofDim[Option[(Double, List[Solution])]](n, n)
 
     def segmentFmdv(s: Int, e: Int): Option[Solution] = {
       val sub = aligned.segmentValues(s, e)
@@ -54,28 +50,30 @@ object FmdvV {
       Fmdv.solve(sub, index, cfg)
     }
 
-    def minFpr(s: Int, e: Int): Option[(Double, List[Solution])] = {
-      val cached = memo(s)(e)
-      if (cached != null) return cached
-      var best: Option[(Double, List[Solution])] =
-        segmentFmdv(s, e).map(sol => (sol.fpr, List(sol)))
-      var t = s
-      while (t < e) {
-        (minFpr(s, t), minFpr(t + 1, e)) match {
-          case (Some((f1, p1)), Some((f2, p2))) =>
-            val f = f1 + f2
-            if (best.forall(_._1 > f)) best = Some((f, p1 ++ p2))
-          case _ => ()
-        }
-        t += 1
-      }
-      memo(s)(e) = best
-      best
-    }
+    // seg(s)(e): FMDV on the span [s, e], for each start s in order of end e
+    val seg = Vector.tabulate(n, n)((s, e) => if (e < s) None else segmentFmdv(s, e))
+    eq11(seg).map(VSolution(_)).filter(_.totalFpr <= cfg.r)
+  }
 
-    minFpr(0, n - 1)
-      .filter { case (f, _) => f <= cfg.r }
-      .map { case (_, sols) => VSolution(sols.toVector) }
+  /** Eq. 11 over a segment table (`seg(s)(e)` for e ≥ s; cells with e < s
+    * are not read): the segmentation of 0 … n−1 into defined cells with the
+    * least Σ FPR, or None when no segmentation exists. Spans are solved
+    * bottom-up by length; each starts from its whole-span cell, then tries
+    * the splits t = s … e−1 left to right, and a split replaces the current
+    * best only when its sum is strictly lower.
+    */
+  private[core] def eq11(seg: IndexedSeq[IndexedSeq[Option[Solution]]]): Option[Vector[Solution]] = {
+    val n = seg.length
+    // best(s)(e): the least Σ FPR over [s, e] and its segments
+    val best = Array.fill(n, n)(Option.empty[(Double, Vector[Solution])])
+    for (len <- 1 to n; s <- 0 to n - len) {
+      val e = s + len - 1
+      var b = seg(s)(e).map(sol => (sol.fpr, Vector(sol)))
+      for (t <- s until e; (f1, p1) <- best(s)(t); (f2, p2) <- best(t + 1)(e))
+        if (b.forall(_._1 > f1 + f2)) b = Some((f1 + f2, p1 ++ p2))
+      best(s)(e) = b
+    }
+    best.headOption.flatMap(_.last).map(_._2)
   }
 
   /** FMDV-V as a strict validation [[Method]]. */

@@ -45,7 +45,7 @@ object Msa {
     * Returns the operation trace: for each step, (profileIdx, tokIdx) with -1
     * marking a gap on that side.
     */
-  private def align(profile: Vector[Pos], toks: Vector[Tok]): Vector[(Int, Int)] = {
+  private def align(profile: Vector[Pos], toks: Vector[Tok]): List[(Int, Int)] = {
     val n = profile.length; val m = toks.length
     val dp = Array.ofDim[Int](n + 1, m + 1)
     for (i <- 1 to n) dp(i)(0) = i * GapScore
@@ -56,21 +56,19 @@ object Msa {
       val left = dp(i)(j - 1) + GapScore
       dp(i)(j) = math.max(diag, math.max(up, left))
     }
-    // trace back
-    val trace = Vector.newBuilder[(Int, Int)]
+    // trace back from the end, prepending, so the list is in forward order
+    var trace = List.empty[(Int, Int)]
     var i = n; var j = m
-    val rev = collection.mutable.ArrayBuffer.empty[(Int, Int)]
     while (i > 0 || j > 0) {
       if (i > 0 && j > 0 && dp(i)(j) == dp(i - 1)(j - 1) + score(profile(i - 1), toks(j - 1))) {
-        rev += ((i - 1, j - 1)); i -= 1; j -= 1
+        trace ::= ((i - 1, j - 1)); i -= 1; j -= 1
       } else if (i > 0 && dp(i)(j) == dp(i - 1)(j) + GapScore) {
-        rev += ((i - 1, -1)); i -= 1
+        trace ::= ((i - 1, -1)); i -= 1
       } else {
-        rev += ((-1, j - 1)); j -= 1
+        trace ::= ((-1, j - 1)); j -= 1
       }
     }
-    trace ++= rev.reverseIterator
-    trace.result()
+    trace
   }
 
   /** Align all values greedily (longest-first seeds the profile). */
@@ -79,44 +77,21 @@ object Msa {
     if (vs.isEmpty) return Aligned(Vector.empty, Vector.empty)
     val tokSeqs = vs.map(Tokens.tokenize)
     val seedIdx = tokSeqs.indices.maxBy(i => tokSeqs(i).length)
+    // rows(k) is the aligned row of value order(k)
+    val order = seedIdx +: tokSeqs.indices.filter(_ != seedIdx)
     var profile = tokSeqs(seedIdx).map(posOf)
-    var rows: Vector[Vector[String]] =
-      Vector(tokSeqs(seedIdx).map(_.text))
-    val order = tokSeqs.indices.filter(_ != seedIdx)
-    for (idx <- order) {
+    var rows = Vector(tokSeqs(seedIdx).map(_.text))
+    for (idx <- order.tail) {
       val toks = tokSeqs(idx)
       val trace = align(profile, toks)
-      val newProfile = Vector.newBuilder[Pos]
-      val newRow = Vector.newBuilder[String]
-      // map from old profile position -> new position for fixing old rows
-      val inserts = collection.mutable.ArrayBuffer.empty[Int] // new positions that are insertions
-      var newPos = 0
-      for ((pi, tj) <- trace) {
-        if (pi >= 0 && tj >= 0) { newProfile += profile(pi); newRow += toks(tj).text }
-        else if (pi >= 0) { newProfile += profile(pi); newRow += "" }
-        else { newProfile += posOf(toks(tj)); newRow += toks(tj).text; inserts += newPos }
-        newPos += 1
-      }
-      if (inserts.nonEmpty) {
-        rows = rows.map { row =>
-          val b = Vector.newBuilder[String]
-          var oi = 0
-          var np = 0
-          val insertSet = inserts.toSet
-          while (np < newPos) {
-            if (insertSet.contains(np)) b += "" else { b += row(oi); oi += 1 }
-            np += 1
-          }
-          b.result()
-        }
-      }
-      profile = newProfile.result()
-      rows = rows :+ newRow.result()
+      // an insertion into the profile gives every earlier row a gap there
+      if (trace.exists(_._1 < 0))
+        rows = rows.map(row => trace.map { case (pi, _) => if (pi >= 0) row(pi) else "" }.toVector)
+      profile = trace.map { case (pi, tj) => if (pi >= 0) profile(pi) else posOf(toks(tj)) }.toVector
+      rows :+= trace.map { case (_, tj) => if (tj >= 0) toks(tj).text else "" }.toVector
     }
-    // restore original value order: seed first in rows, then `order`
-    val permuted = new Array[Vector[String]](vs.length)
-    permuted(seedIdx) = rows.head
-    order.zipWithIndex.foreach { case (origIdx, k) => permuted(origIdx) = rows(k + 1) }
-    Aligned(profile, permuted.toVector)
+    val byInput = new Array[Vector[String]](vs.length)
+    for ((i, k) <- order.zipWithIndex) byInput(i) = rows(k)
+    Aligned(profile, byInput.toVector)
   }
 }

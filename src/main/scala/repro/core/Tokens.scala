@@ -115,11 +115,8 @@ object Tokens {
     }.mkString("|")
 
   /** Effective token count: the smaller of the fine and merged counts — what
-    * decides whether a value can be enumerated under a τ budget.
+    * decides whether a value can be enumerated under a τ budget. Merging only
+    * joins adjacent runs, so the merged count is never the larger one.
     */
-  def effectiveTokenCount(s: String): Int = {
-    val fine = tokenize(s).length
-    val merged = tokenizeMerged(s).length
-    math.min(fine, merged)
-  }
+  def effectiveTokenCount(s: String): Int = tokenizeMerged(s).length
 }

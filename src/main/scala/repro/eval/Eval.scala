@@ -100,12 +100,6 @@ object Eval {
                   cfg: EvalConfig = EvalConfig()): Vector[MethodScore] =
     methods.map(m => evaluate(m, cases, cfg)).toVector
 
-  /** Render scores as an aligned text table (printed by jobs/benches). */
-  def renderScores(title: String, scores: Seq[MethodScore]): String = {
-    val lines = scores.map(s => scoreRow(s.method, s.precision, s.recall))
-    (s"== $title ==" +: scoreHeader +: lines).mkString("\n")
-  }
-
   /** Header of a [[scoreRow]] table. */
   val scoreHeader: String = f"${"method"}%-14s ${"precision"}%9s ${"recall"}%9s ${"F1"}%9s"
 

@@ -48,11 +48,7 @@ object Runners {
   def methods(index: PatternIndex, corpusCols: Seq[LakeColumn],
               cfg: FmdvConfig = FmdvConfig()): Vector[Method] = {
     val smView = new SchemaMatching.CorpusView(corpusCols)
-    Vector(
-      new Fmdv.AsMethod(index, cfg),
-      new FmdvV.AsMethod(index, cfg),
-      new FmdvH.AsMethod(index, cfg),
-      new FmdvH.VhMethod(index, cfg),
+    fmdvVariants(index, cfg) ++ Vector(
       new Dict.Tfdv,
       new Dict.DeequCat,
       new Dict.DeequFra,
@@ -67,7 +63,7 @@ object Runners {
       new SchemaMatching.PatternBased(smView, majority = false))
   }
 
-  /** FMDV variants only (sensitivity sweeps). */
+  /** The four FMDV variants, in Fig. 10's order. */
   def fmdvVariants(index: PatternIndex, cfg: FmdvConfig): Vector[Method] = Vector(
     new Fmdv.AsMethod(index, cfg),
     new FmdvV.AsMethod(index, cfg),

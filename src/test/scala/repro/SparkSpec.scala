@@ -7,7 +7,7 @@ import org.scalatest.funsuite.AnyFunSuite
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * The tests use it to build the offline pattern indexes of the synthetic
-  * lakes (`TestFixtures.indexE` / `indexG`, built once per JVM and shared),
+  * lakes (`TestFixtures.indexE`, built once per JVM and shared),
   * to run `OfflineIndexer` on small corpora, and to rescan the corpus in
   * the no-index FMDV reference. Driver heap is set via `Test / javaOptions`
   * in build.sbt from SPARK_DRIVER_MEM.

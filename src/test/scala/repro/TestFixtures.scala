@@ -1,34 +1,19 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
-import repro.index.{OfflineIndexer, PatternIndex}
-import repro.lake.{Benchmark, LakeColumn, LakeGen}
+import repro.eval.Runners
+import repro.index.PatternIndex
+import repro.lake.{Benchmark, LakeColumn}
 
 /** Shared, lazily-built fixtures so the (expensive) corpus indexes are built
-  * once per test JVM and reused by every suite.
+  * once per test JVM and reused by every suite. They all come from one
+  * [[Runners.Artifacts]], which the bench suites share too.
   */
 object TestFixtures {
 
-  private def spark: SparkSession = SparkSpec.shared
+  lazy val art: Runners.Artifacts = new Runners.Artifacts(SparkSpec.shared)
 
-  lazy val corpusEColumns: Vector[LakeColumn] = LakeGen.generateColumns(LakeGen.Enterprise)
-  lazy val corpusGColumns: Vector[LakeColumn] = LakeGen.generateColumns(LakeGen.Government)
-
-  lazy val indexE: PatternIndex = time("indexE") {
-    OfflineIndexer.buildIndex(LakeGen.corpus(spark, LakeGen.Enterprise))
-  }
-
-  lazy val indexG: PatternIndex = time("indexG") {
-    OfflineIndexer.buildIndex(LakeGen.corpus(spark, LakeGen.Government))
-  }
-
-  lazy val benchE: Vector[Benchmark.BenchCase] = Benchmark.generate(Benchmark.EnterpriseBench)
-  lazy val benchG: Vector[Benchmark.BenchCase] = Benchmark.generate(Benchmark.GovernmentBench)
-
-  private def time[A](label: String)(f: => A): A = {
-    val t0 = System.nanoTime()
-    val r = f
-    Console.err.println(f"[TestFixtures] $label built in ${(System.nanoTime() - t0) / 1e9}%.1f s")
-    r
-  }
+  def corpusEColumns: Vector[LakeColumn] = art.corpusEcols
+  def corpusGColumns: Vector[LakeColumn] = art.corpusGcols
+  def indexE: PatternIndex = art.index("E")
+  def benchE: Vector[Benchmark.BenchCase] = art.benchE
 }

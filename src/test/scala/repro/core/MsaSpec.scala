@@ -1,9 +1,9 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{PropHelpers, SparkSpec}
 import repro.core.Tokens.Cls
 
-class MsaSpec extends SparkSpec {
+class MsaSpec extends SparkSpec with PropHelpers {
 
   test("empty input aligns to nothing") {
     val a = Msa.alignValues(Seq.empty)
@@ -75,5 +75,31 @@ class MsaSpec extends SparkSpec {
     // '-' and '.' mismatch; alignment still reconstructs both values
     assert(a.matrix(0).mkString == "1-2")
     assert(a.matrix(1).mkString == "3.4")
+  }
+
+  /** Each row spans the profile and spells its input, in input order. */
+  private def checkRows(vals: Seq[String]): Msa.Aligned = {
+    val a = Msa.alignValues(vals)
+    assert(a.matrix.forall(_.length == a.length), s"ragged rows for $vals")
+    assert(a.matrix.map(_.mkString) == vals.filter(v => v != null && v.nonEmpty).toVector)
+    a
+  }
+
+  test("rows span the profile and spell their inputs on generated columns") {
+    forSamples(EnumerateOracleSpec.genColumn, 300)(checkRows)
+  }
+
+  test("rows span the profile and spell their inputs after insertions") {
+    val inputs = Seq(
+      Seq("1:02", "1:02:03"),
+      Seq("a--b", "a-1-b"),
+      // ":1-" aligns as (gap, ':', digits, '-'): a new last position
+      Seq("ab:1", "cd:2", ":1-", "ef:3"),
+      Seq(":1-", "ab:1", "ab:2"))
+    // an insertion makes the profile longer than the longest value
+    val widened = inputs.count { vs =>
+      checkRows(vs).length > vs.map(Tokens.tokenize(_).length).max
+    }
+    assert(widened > 0, "no input forced an insertion")
   }
 }

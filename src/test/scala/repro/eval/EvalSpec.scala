@@ -82,12 +82,6 @@ class EvalSpec extends SparkSpec {
     assert(evaluateAll(ms, cases).map(_.method) == Vector("a", "b"))
   }
 
-  test("renderScores produces an aligned table") {
-    val s = evaluate(method("none")(_ => None), cases)
-    val out = renderScores("t", Seq(s))
-    assert(out.contains("precision") && out.contains("none"))
-  }
-
   test("MethodScore f1 is harmonic") {
     val s = MethodScore("m", 0.5, 0.5, Vector.empty)
     assert(math.abs(s.f1 - 0.5) < 1e-12)
