@@ -3,7 +3,6 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.eval.Runners
 import repro.index.OfflineIndexer
-import repro.lake.LakeGen
 
 /** spark-submit entrypoints, one per reproduced table/figure.
   *
@@ -11,15 +10,12 @@ import repro.lake.LakeGen
   *   spark-submit --class repro.jobs.Figure10Job repro.jar E
   */
 object JobSupport {
-  def session(name: String): SparkSession =
-    SparkSession.builder
+  def run(name: String)(body: Runners.Artifacts => String): Unit = {
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .getOrCreate()
-
-  def run(name: String)(body: Runners.Artifacts => String): Unit = {
-    val spark = session(name)
     try println(body(new Runners.Artifacts(spark)))
     finally spark.stop()
   }
@@ -30,14 +26,11 @@ object BuildIndexJob {
   def main(args: Array[String]): Unit = {
     val corpus = args.headOption.getOrElse("E")
     val out = args.lift(1).getOrElse(s"target/index_$corpus.parquet")
-    val spark = JobSupport.session(s"build-index-$corpus")
-    try {
-      val ds = if (corpus == "E") LakeGen.corpus(spark, LakeGen.Enterprise)
-               else LakeGen.corpus(spark, LakeGen.Government)
-      val idx = OfflineIndexer.buildIndex(ds)
-      OfflineIndexer.save(spark, idx, out)
-      println(s"index for T_$corpus written to $out (${idx.size} patterns)")
-    } finally spark.stop()
+    JobSupport.run(s"build-index-$corpus") { a =>
+      val idx = a.index(corpus)
+      OfflineIndexer.save(a.spark, idx, out)
+      s"index for T_$corpus written to $out (${idx.size} patterns)"
+    }
   }
 }
 

@@ -20,15 +20,20 @@ object SchemaMatching {
 
   private def digest(c: LakeColumn): ColDigest = {
     val vs = c.values.iterator.filter(v => v != null && v.nonEmpty).take(200).toVector
-    val bySig = vs.groupBy(Tokens.signatureKey)
-    val plurality =
-      if (bySig.isEmpty) ""
-      else bySig.maxBy { case (k, g) => (g.size, k) }._1
-    val majority = bySig.collectFirst {
-      case (k, g) if g.size * 2 > vs.size => k
-    }
-    ColDigest(vs.toSet, vs, plurality, majority)
+    val sig = pluralitySignature(vs)
+    ColDigest(vs.toSet, vs, sig.fold("")(_._1), sig.collect { case (k, true) => k })
   }
+
+  /** The plurality coarse signature of `vs` (ties go to the larger key) and
+    * whether it is also the majority one, held by more than half of `vs`;
+    * `None` for no values.
+    */
+  private[baselines] def pluralitySignature(vs: Seq[String]): Option[(String, Boolean)] =
+    if (vs.isEmpty) None
+    else {
+      val (k, n) = vs.groupMapReduce(Tokens.signatureKey)(_ => 1)(_ + _).maxBy { case (sig, cnt) => (cnt, sig) }
+      Some((k, n * 2 > vs.size))
+    }
 
   /** Shared digests for a corpus (built once, reused by all four methods). */
   final class CorpusView(columns: Seq[LakeColumn]) {
@@ -65,15 +70,11 @@ object SchemaMatching {
     def learn(train: Seq[String]): Option[Rule] = {
       val vs = train.filter(v => v != null && v.nonEmpty)
       if (vs.isEmpty) return None
-      val bySig = vs.groupBy(Tokens.signatureKey)
-      val trainPlurality = bySig.maxBy { case (k, g) => (g.size, k) }._1
-      val trainMajority = bySig.collectFirst { case (k, g) if g.size * 2 > vs.size => k }
+      val (sig, isMajority) = pluralitySignature(vs).get
       val related =
-        if (majority) trainMajority match {
-          case Some(sig) => view.digests.filter(_.majoritySig.contains(sig))
-          case None      => Vector.empty
-        }
-        else view.digests.filter(_.pluralitySig == trainPlurality)
+        if (!majority) view.digests.filter(_.pluralitySig == sig)
+        else if (isMajority) view.digests.filter(_.majoritySig.contains(sig))
+        else Vector.empty
       profileAugmented(name, vs, related)
     }
   }

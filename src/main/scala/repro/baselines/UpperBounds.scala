@@ -1,6 +1,5 @@
 package repro.baselines
 
-import repro.core.Tokens
 import repro.lake.Benchmark.BenchCase
 import repro.lake.LakeColumn
 
@@ -48,18 +47,12 @@ object UpperBounds {
                          minColumns: Int = 10): Double = {
     if (cases.isEmpty) return 0.0
     val corpusSigCounts: Map[String, Int] = corpus
-      .flatMap { c =>
-        val vs = c.values.iterator.filter(v => v != null && v.nonEmpty).take(100).toVector
-        if (vs.isEmpty) None
-        else Some(vs.groupBy(Tokens.signatureKey).maxBy { case (k, g) => (g.size, k) }._1)
-      }
-      .groupBy(identity).map { case (k, xs) => k -> xs.size }
+      .flatMap(c => SchemaMatching.pluralitySignature(
+        c.values.iterator.filter(v => v != null && v.nonEmpty).take(100).toVector).map(_._1))
+      .groupMapReduce(identity)(_ => 1)(_ + _)
     val covered = cases.count { c =>
-      val vs = c.values.filter(v => v != null && v.nonEmpty)
-      vs.nonEmpty && {
-        val sig = vs.groupBy(Tokens.signatureKey).maxBy { case (k, g) => (g.size, k) }._1
-        corpusSigCounts.getOrElse(sig, 0) >= minColumns
-      }
+      SchemaMatching.pluralitySignature(c.values.filter(v => v != null && v.nonEmpty))
+        .exists { case (sig, _) => corpusSigCounts.getOrElse(sig, 0) >= minColumns }
     }
     covered.toDouble / cases.size
   }

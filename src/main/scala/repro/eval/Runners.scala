@@ -1,5 +1,6 @@
 package repro.eval
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import repro.baselines._
 import repro.core._
@@ -13,35 +14,37 @@ import repro.eval.Eval.{EvalConfig, MethodScore}
   */
 object Runners {
 
-  /** Lazily-built expensive artifacts (corpora, indexes, benchmarks),
-    * cached per (corpus, τ).
+  /** Lazily-built expensive artifacts of the corpora "E" (T_E, B_E) and "G"
+    * (T_G, B_G): each lake's columns, generated once, the corpus RDD sliced
+    * from them, its benchmark, and its indexes cached per τ.
     */
   final class Artifacts(val spark: SparkSession) {
-    lazy val corpusEcols: Vector[LakeColumn] = LakeGen.generateColumns(LakeGen.Enterprise)
-    lazy val corpusGcols: Vector[LakeColumn] = LakeGen.generateColumns(LakeGen.Government)
-    lazy val benchE: Vector[Benchmark.BenchCase] = Benchmark.generate(Benchmark.EnterpriseBench)
-    lazy val benchG: Vector[Benchmark.BenchCase] = Benchmark.generate(Benchmark.GovernmentBench)
+    private final class Lake(cfg: LakeGen.LakeConfig, benchCfg: Benchmark.BenchConfig) {
+      lazy val cols = LakeGen.generateColumns(cfg)
+      lazy val corpus = LakeGen.corpus(spark, cols)
+      lazy val bench = Benchmark.generate(benchCfg)
+    }
+    private val lakes = Map(
+      "E" -> new Lake(LakeGen.Enterprise, Benchmark.EnterpriseBench),
+      "G" -> new Lake(LakeGen.Government, Benchmark.GovernmentBench))
+    private def lake(corpus: String): Lake =
+      lakes.getOrElse(corpus, throw new IllegalArgumentException(s"unknown corpus $corpus"))
+
+    def cols(corpus: String): Vector[LakeColumn] = lake(corpus).cols
+    def corpus(corpus: String): RDD[LakeColumn] = lake(corpus).corpus
+    def bench(corpus: String): Vector[Benchmark.BenchCase] = lake(corpus).bench
 
     private val indexCache = collection.mutable.HashMap.empty[(String, Int), PatternIndex]
     def index(corpus: String, tau: Int = Enumerate.DefaultTau): PatternIndex = synchronized {
       indexCache.getOrElseUpdate((corpus, tau), {
-        val ds = corpus match {
-          case "E" => LakeGen.corpus(spark, LakeGen.Enterprise)
-          case "G" => LakeGen.corpus(spark, LakeGen.Government)
-          case other => throw new IllegalArgumentException(s"unknown corpus $other")
-        }
+        val cols = lake(corpus).corpus
         val t0 = System.nanoTime()
-        val idx = OfflineIndexer.buildIndex(ds, OfflineIndexer.IndexConfig(tau = tau))
+        val idx = OfflineIndexer.buildIndex(cols, OfflineIndexer.IndexConfig(tau = tau))
         Console.err.println(
           f"[Runners] index($corpus, tau=$tau) size=${idx.size} in ${(System.nanoTime() - t0) / 1e9}%.1f s")
         idx
       })
     }
-
-    def cols(corpus: String): Vector[LakeColumn] =
-      if (corpus == "E") corpusEcols else corpusGcols
-    def bench(corpus: String): Vector[Benchmark.BenchCase] =
-      if (corpus == "E") benchE else benchG
   }
 
   /** All compared validation methods (§5.2), in the paper's grouping. */
@@ -76,9 +79,8 @@ object Runners {
   final case class Table1Result(e: LakeGen.CorpusStats, g: LakeGen.CorpusStats, rendered: String)
 
   def table1(art: Artifacts): Table1Result = {
-    import art.spark.implicits._
-    val e = LakeGen.stats(art.spark.createDataset(art.corpusEcols))
-    val g = LakeGen.stats(art.spark.createDataset(art.corpusGcols))
+    val e = LakeGen.stats(art.spark, art.cols("E"))
+    val g = LakeGen.stats(art.spark, art.cols("G"))
     def row(s: LakeGen.CorpusStats, label: String) =
       f"$label%-16s ${s.files}%8d ${s.cols}%9d ${s.avgValues}%8.0f (${s.sdValues}%.0f) ${s.avgDistinct}%8.0f (${s.sdDistinct}%.0f)"
     val rendered = Seq(
@@ -121,8 +123,8 @@ object Runners {
   def table2(art: Artifacts): Table2Result = {
     val index = art.index("E")
     val vh = new FmdvH.VhMethod(index)
-    val prog = Eval.evaluate(vh, art.benchE, EvalConfig(groundTruth = false))
-    val gt = Eval.evaluate(vh, art.benchE, EvalConfig(groundTruth = true))
+    val prog = Eval.evaluate(vh, art.bench("E"), EvalConfig(groundTruth = false))
+    val gt = Eval.evaluate(vh, art.bench("E"), EvalConfig(groundTruth = true))
     val rendered = Seq(
       "== Table 2: programmatic evaluation vs ground truth (FMDV-VH on B_E) ==",
       f"${"evaluation"}%-28s ${"precision"}%9s ${"recall"}%9s",
@@ -141,7 +143,7 @@ object Runners {
                   ms: Seq[Long] = Seq(0L, 5L, 20L, 100L),
                   taus: Seq[Int] = Seq(8, 13),
                   thetas: Seq[Double] = Seq(0.02, 0.05, 0.1, 0.2)): SensResult = {
-    val cases = art.benchE
+    val cases = art.bench("E")
     val rows = Vector.newBuilder[(String, Double, String, Double, Double)]
     def sweep(param: String, values: Seq[Double], mk: Double => (PatternIndex, FmdvConfig)): Unit =
       for (v <- values) {
@@ -190,10 +192,8 @@ object Runners {
 
   def latency(art: Artifacts, nCols: Int = 20, nColsNoIndex: Int = 3): LatencyResult = {
     val index = art.index("E")
-    val subset = Eval.patternedSubset(art.benchE).take(nCols)
-    import art.spark.implicits._
-    val corpusDs = art.spark.createDataset(art.corpusEcols).cache()
-    corpusDs.count() // materialize once; the no-index cost measured is the scan+aggregate
+    val subset = Eval.patternedSubset(art.bench("E")).take(nCols)
+    val corpus = art.corpus("E")
 
     def timeAvg(label: String, cols: Seq[Benchmark.BenchCase])(f: Seq[String] => Any): (String, Double) = {
       f(cols.head.train()) // warm-up
@@ -210,9 +210,8 @@ object Runners {
     ms += timeAvg("PWheel", subset)(vs => PottersWheel.profile(vs))
     ms += timeAvg("XSystem", subset)(vs => new Profilers.XSystem().learn(vs))
     ms += timeAvg("FlashProfile", subset)(vs => new Profilers.FlashProfile().learn(vs))
-    ms += timeAvg("FMDV(no-index)", subset.take(nColsNoIndex))(vs => NoIndexFmdv.solve(vs, corpusDs))
+    ms += timeAvg("FMDV(no-index)", subset.take(nColsNoIndex))(vs => NoIndexFmdv.solve(vs, corpus))
     val m = ms.result()
-    corpusDs.unpersist()
     val order = Seq("FMDV", "FMDV-V", "FMDV-H", "FMDV-VH", "PWheel", "XSystem",
       "FlashProfile", "FMDV(no-index)")
     val rendered = (Seq("== Figure 14 as a table: avg latency per query column (ms) ==") ++
@@ -227,7 +226,7 @@ object Runners {
 
   def table3(art: Artifacts, nCases: Int = 20): Table3Result = {
     val index = art.index("E")
-    val sample = Eval.patternedSubset(art.benchE).take(nCases)
+    val sample = Eval.patternedSubset(art.bench("E")).take(nCases)
     val contenders: Vector[Method] = Programmers.all :+ new FmdvH.VhMethod(index)
     val rows = contenders.map { m =>
       val t0 = System.nanoTime()

@@ -1,6 +1,6 @@
 package repro.index
 
-import org.apache.spark.sql.Dataset
+import org.apache.spark.rdd.RDD
 import repro.core.{Enumerate, Fmdv, FmdvConfig, Solution}
 import repro.lake.LakeColumn
 
@@ -11,7 +11,7 @@ import repro.lake.LakeColumn
   */
 object NoIndexFmdv {
 
-  def solve(values: Seq[String], corpus: Dataset[LakeColumn],
+  def solve(values: Seq[String], corpus: RDD[LakeColumn],
             cfg: FmdvConfig = FmdvConfig(),
             idxCfg: OfflineIndexer.IndexConfig = OfflineIndexer.IndexConfig()): Option[Solution] = {
     val hs = Enumerate.hypothesis(values, cfg.tau, cfg.cap)

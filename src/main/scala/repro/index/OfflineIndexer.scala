@@ -1,7 +1,8 @@
 package repro.index
 
 import scala.collection.mutable
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.SparkSession
 import repro.core.Enumerate
 import repro.lake.LakeColumn
 
@@ -66,11 +67,11 @@ object OfflineIndexer {
     * (Σ Imp_D(p), count) per key, dropping keys outside `keep`, and the
     * driver merges the partitions in order and drops entries below `minCov`.
     */
-  private[index] def aggregate(cols: Dataset[LakeColumn], cfg: IndexConfig,
+  private[index] def aggregate(cols: RDD[LakeColumn], cfg: IndexConfig,
                                keep: String => Boolean = _ => true): PatternIndex = {
     def add(to: mutable.HashMap[String, (Double, Long)], k: String, imp: Double, cov: Long): Unit =
       to(k) = to.get(k).fold((imp, cov)) { case (i, c) => (i + imp, c + cov) }
-    val parts = cols.rdd.mapPartitions { it =>
+    val parts = cols.mapPartitions { it =>
       val part = mutable.HashMap.empty[String, (Double, Long)]
       for (c <- it; (k, imp) <- localEvidence(c.values, cfg) if keep(k)) add(part, k, imp, 1L)
       // parallel arrays: the task result is serialized with no object per entry
@@ -84,7 +85,7 @@ object OfflineIndexer {
   }
 
   /** Scan the corpus once and collect its index. */
-  def buildIndex(cols: Dataset[LakeColumn], cfg: IndexConfig = IndexConfig()): PatternIndex =
+  def buildIndex(cols: RDD[LakeColumn], cfg: IndexConfig = IndexConfig()): PatternIndex =
     aggregate(cols, cfg)
 
   /** Persist / restore the index (parquet on the local filesystem). */

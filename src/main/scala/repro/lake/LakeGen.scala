@@ -1,11 +1,14 @@
 package repro.lake
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.SparkSession
 import scala.util.Random
 import repro.lake.Domains.Domain
 
 /** Builds the synthetic data-lake corpora T_E (enterprise-like) and T_G
-  * (government-like) as `Dataset[LakeColumn]` (DESIGN.md §3.1–3.2).
+  * (government-like) as driver-side columns (DESIGN.md §3.1–3.2), which
+  * `corpus` slices into an RDD for the offline indexer's scan and `stats`
+  * aggregates into Table 1.
   *
   * Besides clean domain columns, the lake contains the column types real
   * lakes have and that the method's corpus statistics depend on:
@@ -160,28 +163,27 @@ object LakeGen {
     out.result()
   }
 
-  /** The corpus as a Spark Dataset, ready for the offline indexer: the
-    * generated columns, in order, cut into 4 slices per core. A slice is a
-    * partition, so the indexer's scan needs no shuffle, and the many small
-    * slices keep every core busy while the columns' enumeration work varies.
+  /** The corpus ready for the offline indexer: `cols`, in order, cut into 4
+    * slices per core. A slice is a partition, so the indexer's scan needs no
+    * shuffle, and the many small slices keep every core busy while the
+    * columns' enumeration work varies.
     */
-  def corpus(spark: SparkSession, cfg: LakeConfig): Dataset[LakeColumn] = {
-    import spark.implicits._
-    val sc = spark.sparkContext
-    spark.createDataset(sc.parallelize(generateColumns(cfg), 4 * sc.defaultParallelism))
-  }
+  def corpus(spark: SparkSession, cols: Seq[LakeColumn]): RDD[LakeColumn] =
+    spark.sparkContext.parallelize(cols, 4 * spark.sparkContext.defaultParallelism)
 
-  /** Table 1 statistics (computed with DataFrame aggregation in the job). */
+  /** The columns of `cfg`'s lake, sliced as above. */
+  def corpus(spark: SparkSession, cfg: LakeConfig): RDD[LakeColumn] = corpus(spark, generateColumns(cfg))
+
+  /** Table 1 statistics, aggregated by Spark SQL over one row per column. */
   final case class CorpusStats(
       corpus: String, files: Long, cols: Long,
       avgValues: Double, sdValues: Double,
       avgDistinct: Double, sdDistinct: Double)
 
-  def stats(ds: Dataset[LakeColumn]): CorpusStats = {
+  def stats(spark: SparkSession, cols: Seq[LakeColumn]): CorpusStats = {
     import org.apache.spark.sql.functions._
-    val spark = ds.sparkSession
     import spark.implicits._
-    val per = ds.map(c => (c.corpus, c.tableId, c.values.size.toLong, c.values.distinct.size.toLong))
+    val per = cols.map(c => (c.corpus, c.tableId, c.values.size.toLong, c.values.distinct.size.toLong))
       .toDF("corpus", "tableId", "n", "nd")
     val row = per.agg(
       first($"corpus").as("corpus"),

@@ -34,6 +34,28 @@ object Oracle {
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+    val (dCols, dRows) = duck(sql, tables)
+    val sCols = sparkDf.columns.toSeq
+    require(
+      dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
+      s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
+    )
+    val got = canon(sparkDf.collect().toSeq, sCols)
+    val exp = canon(dRows, dCols)
+    require(got == exp,
+      s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
+      s"  first spark-only: ${got.diff(exp).take(3)}\n" +
+      s"  first duck-only:  ${exp.diff(got).take(3)}"
+    )
+  }
+
+  /** The rows of ``sql`` run on DuckDB over ``tables``, for checks that
+    * compare against values rather than a DataFrame.
+    */
+  def query(sql: String, tables: (String, DataFrame)*): Seq[Row] = duck(sql, tables)._2
+
+  /** Loads ``tables`` as VARCHAR columns and runs ``sql``: (labels, rows). */
+  private def duck(sql: String, tables: Seq[(String, DataFrame)]): (Seq[String], Seq[Row]) = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
@@ -59,19 +81,8 @@ object Oracle {
         .continually(rs)
         .takeWhile(_.next())
         .map(r => Row.fromSeq((1 to dCols.size).map(r.getObject)))
-        .toSeq
-      val sCols = sparkDf.columns.toSeq
-      require(
-        dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
-        s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
-      )
-      val got = canon(sparkDf.collect().toSeq, sCols)
-      val exp = canon(dRows, dCols)
-      require(got == exp,
-        s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-        s"  first spark-only: ${got.diff(exp).take(3)}\n" +
-        s"  first duck-only:  ${exp.diff(got).take(3)}"
-      )
+        .toVector
+      (dCols, dRows)
     } finally conn.close()
   }
 }

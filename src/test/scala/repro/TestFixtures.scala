@@ -1,5 +1,6 @@
 package repro
 
+import org.apache.spark.rdd.RDD
 import repro.eval.Runners
 import repro.index.PatternIndex
 import repro.lake.{Benchmark, LakeColumn}
@@ -12,8 +13,9 @@ object TestFixtures {
 
   lazy val art: Runners.Artifacts = new Runners.Artifacts(SparkSpec.shared)
 
-  def corpusEColumns: Vector[LakeColumn] = art.corpusEcols
-  def corpusGColumns: Vector[LakeColumn] = art.corpusGcols
+  def corpusEColumns: Vector[LakeColumn] = art.cols("E")
+  def corpusGColumns: Vector[LakeColumn] = art.cols("G")
+  def corpusE: RDD[LakeColumn] = art.corpus("E")
   def indexE: PatternIndex = art.index("E")
-  def benchE: Vector[Benchmark.BenchCase] = art.benchE
+  def benchE: Vector[Benchmark.BenchCase] = art.bench("E")
 }

@@ -8,26 +8,21 @@ import scala.util.Random
 /** The no-index reference solver must agree with indexed FMDV. */
 class NoIndexFmdvSpec extends SparkSpec {
 
-  lazy val corpusDs = {
-    import spark.implicits._
-    spark.createDataset(TestFixtures.corpusEColumns)
-  }
-
   test("agrees with indexed FMDV on a date column") {
     val train = Domains.dateSlashD.make(new Random(50), 25)
     val indexed = Fmdv.solve(train, TestFixtures.indexE)
-    val scanned = NoIndexFmdv.solve(train, corpusDs)
+    val scanned = NoIndexFmdv.solve(train, TestFixtures.corpusE)
     assert(indexed.map(_.pat.key) == scanned.map(_.pat.key))
   }
 
   test("agrees with indexed FMDV on an enum column") {
     val train = Domains.statusD.make(new Random(51), 25)
     val indexed = Fmdv.solve(train, TestFixtures.indexE)
-    val scanned = NoIndexFmdv.solve(train, corpusDs)
+    val scanned = NoIndexFmdv.solve(train, TestFixtures.corpusE)
     assert(indexed.map(_.pat.key) == scanned.map(_.pat.key))
   }
 
   test("no hypothesis → no scan, no solution") {
-    assert(NoIndexFmdv.solve(Seq("a", "1/2/2020"), corpusDs).isEmpty)
+    assert(NoIndexFmdv.solve(Seq("a", "1/2/2020"), TestFixtures.corpusE).isEmpty)
   }
 }

@@ -4,7 +4,7 @@ import repro.{Oracle, SparkSpec, TestFixtures}
 import repro.core.{EnumerateOracle, EnumerateOracleSpec, Pattern}
 import repro.core.Pattern._
 import repro.index.OfflineIndexer.IndexConfig
-import repro.lake.LakeColumn
+import repro.lake.{LakeColumn, LakeGen}
 
 /** Offline indexing: local evidence, the one-pass aggregation (checked
   * against DuckDB and across corpus slicings), pruning, and persistence.
@@ -56,12 +56,11 @@ class OfflineIndexerSpec extends SparkSpec {
       "<alnum>{8}-<alnum>{4}-<alnum>{4}-<alnum>{4}-<alnum>{12}"))
   }
 
-  /** A corpus Dataset cut into exactly `slices` partitions, in order. */
+  /** A corpus cut into exactly `slices` partitions, in order. */
   private def sliced(cols: Seq[LakeColumn], slices: Int) = {
-    import spark.implicits._
-    val ds = spark.createDataset(spark.sparkContext.parallelize(cols, slices))
-    assert(ds.rdd.getNumPartitions == slices)
-    ds
+    val rdd = spark.sparkContext.parallelize(cols, slices)
+    assert(rdd.getNumPartitions == slices)
+    rdd
   }
 
   test("build: aggregation matches DuckDB (oracle)") {
@@ -125,12 +124,11 @@ class OfflineIndexerSpec extends SparkSpec {
   }
 
   test("build: FPR averages only over matched columns (Def. 3)") {
-    import spark.implicits._
     val cols = Vector(
       col("pure1", Seq.fill(10)("123")),
       col("pure2", Seq.fill(10)("456")),
       col("mixed", Seq.fill(5)("789") ++ Seq.fill(5)("ab.cd")))
-    val idx = OfflineIndexer.buildIndex(spark.createDataset(cols), cfg)
+    val idx = OfflineIndexer.buildIndex(LakeGen.corpus(spark, cols), cfg)
     val d3 = Pat(Vector(FixLen(GClass.Digit, 3))).key
     val st = idx.lookup(d3).get
     assert(st.cov == 3)
@@ -138,9 +136,8 @@ class OfflineIndexerSpec extends SparkSpec {
   }
 
   test("build: minCov prunes singleton patterns") {
-    import spark.implicits._
     val cols = Vector(col("only", Seq("zz@zz")), col("digits1", Seq("1")), col("digits2", Seq("2")))
-    val idx = OfflineIndexer.buildIndex(spark.createDataset(cols), cfg.copy(minCov = 2))
+    val idx = OfflineIndexer.buildIndex(LakeGen.corpus(spark, cols), cfg.copy(minCov = 2))
     assert(idx.lookup(Pat(Vector(VarLen(GClass.Digit))).key).isDefined)
     assert(idx.lookup(Pat(Vector(ConstT("zz"), ConstT("@"), ConstT("zz"))).key).isEmpty)
   }

@@ -74,28 +74,31 @@ class LakeGenSpec extends SparkSpec {
 
   test("corpus stats (Table 1 inputs) are sane and oracle-checked") {
     import spark.implicits._
-    val ds = spark.createDataset(eCols.take(300))
-    val st = LakeGen.stats(ds)
-    assert(st.cols == 300)
+    val cols = eCols.take(300)
+    val st = LakeGen.stats(spark, cols)
+    assert(st.corpus == "E" && st.cols == 300)
     assert(st.avgValues > 0 && st.sdValues >= 0)
-    // oracle: per-column counts aggregated in DuckDB
-    val per = eCols.take(300).map(c => (c.values.size.toLong, c.values.distinct.size.toLong))
-      .toDF("n", "nd")
-    val sparkAgg = per.selectExpr(
-      "avg(n) AS avg_n", "stddev_pop(n) AS sd_n",
-      "avg(nd) AS avg_nd", "stddev_pop(nd) AS sd_nd")
-    Oracle.assertEquivalent(sparkAgg,
-      """SELECT avg(CAST(n AS DOUBLE)) AS avg_n, stddev_pop(CAST(n AS DOUBLE)) AS sd_n,
-        |       avg(CAST(nd AS DOUBLE)) AS avg_nd, stddev_pop(CAST(nd AS DOUBLE)) AS sd_nd
+    // oracle: DuckDB aggregates the same columns, one row per column
+    val per = cols.map(c => (c.tableId, c.values.size.toLong, c.values.distinct.size.toLong))
+      .toDF("tableId", "n", "nd")
+    val want = Oracle.query(
+      """SELECT count(DISTINCT tableId), count(*),
+        |       avg(CAST(n AS DOUBLE)), stddev_pop(CAST(n AS DOUBLE)),
+        |       avg(CAST(nd AS DOUBLE)), stddev_pop(CAST(nd AS DOUBLE))
         |FROM per""".stripMargin,
-      "per" -> per)
-    assert(math.abs(st.avgValues - sparkAgg.collect()(0).getDouble(0)) > -1) // stats path exercised
+      "per" -> per).head
+    assert(st.files == want.getAs[Number](0).longValue)
+    assert(st.cols == want.getAs[Number](1).longValue)
+    val got = Seq(st.avgValues, st.sdValues, st.avgDistinct, st.sdDistinct)
+    for ((g, i) <- got.zipWithIndex)
+      assert(math.abs(g - want.getAs[Number](i + 2).doubleValue) <= 1e-9, s"column ${i + 2}: $g vs ${want.get(i + 2)}")
   }
 
-  test("corpus Dataset round-trips through Spark") {
-    val ds = LakeGen.corpus(spark, LakeGen.Government)
-    assert(ds.count() == gCols.size)
+  test("corpus RDD round-trips through Spark") {
+    val rdd = LakeGen.corpus(spark, LakeGen.Government)
+    assert(rdd.getNumPartitions == 4 * spark.sparkContext.defaultParallelism)
+    assert(rdd.count() == gCols.size)
     // every generated column exactly once, in generation order
-    assert(ds.collect().toVector == gCols)
+    assert(rdd.collect().toVector == gCols)
   }
 }
