@@ -81,7 +81,44 @@ object Enumerate {
   /** One value's option lists as interned token ids: list × position ×
     * option.
     */
-  private type OptionIds = Array[Array[Array[Int]]]
+  private[core] type OptionIds = Array[Array[Array[Int]]]
+
+  /** Interns pattern tokens to dense ids 0, 1, 2, … in first-seen order. */
+  private[core] final class Interner {
+    private val ids = new java.util.HashMap[PTok, Integer]
+    private val tokens = collection.mutable.ArrayBuffer.empty[PTok]
+
+    def idOf(t: PTok): Int = {
+      val id = ids.get(t)
+      if (id != null) id.intValue
+      else { ids.put(t, tokens.size); tokens += t; tokens.size - 1 }
+    }
+
+    def tokenOf(id: Int): PTok = tokens(id)
+
+    /** `opts` as an array of ids. */
+    def idsOf(opts: Vector[PTok]): Array[Int] = {
+      val a = new Array[Int](opts.length)
+      var i = 0
+      while (i < a.length) { a(i) = idOf(opts(i)); i += 1 }
+      a
+    }
+  }
+
+  /** v's option lists (fine, merged, skeleton), interned. */
+  private def optionIds(v: String, tau: Int, cap: Int, in: Interner): OptionIds = {
+    val lists = optionLists(v, tau, cap)
+    val out = new OptionIds(lists.size)
+    var l = 0
+    for (opts <- lists) {
+      val ids = new Array[Array[Int]](opts.length)
+      var d = 0
+      while (d < ids.length) { ids(d) = in.idsOf(opts(d)); d += 1 }
+      out(l) = ids
+      l += 1
+    }
+    out
+  }
 
   /** An open-addressing map from `Long` keys (≥ 0) to dense ids 0, 1, 2, …
     * handed out in insertion order, so callers keep per-key values in plain
@@ -141,8 +178,8 @@ object Enumerate {
   }
 
   /** Counts P(v) over the values of one column without materialising a
-    * pattern per value. Option tokens are interned to `Int` ids; each
-    * cross-product is walked depth-first down a prefix trie of those ids.
+    * pattern per value. Each cross-product of option ids interned by `in`
+    * is walked depth-first down a prefix trie of those ids.
     * A node that ends a pattern keeps a count and the index of the last
     * value that reached it, so a pattern reached twice from one value (from
     * fine and from skeleton, say) counts once, with that value's
@@ -150,10 +187,7 @@ object Enumerate {
     * (parent id, token id): an edge is added exactly when its child is
     * created, so edge id i leads to node i + 1, and fan-out is unbounded.
     */
-  private final class Counter(tau: Int, cap: Int) {
-    private val tokIds = new java.util.HashMap[PTok, Integer]
-    private val tokens = collection.mutable.ArrayBuffer.empty[PTok]
-
+  private final class Counter(in: Interner) {
     // node 0 is the root (the empty prefix)
     private val edges = new IdMap
     private var parent = new Array[Int](64)
@@ -166,36 +200,6 @@ object Enumerate {
 
     private var round = -1
     private var mult = 1
-
-    private def idOf(t: PTok): Int = {
-      val id = tokIds.get(t)
-      if (id != null) id.intValue
-      else { tokIds.put(t, tokens.size); tokens += t; tokens.size - 1 }
-    }
-
-    def tokenOf(id: Int): PTok = tokens(id)
-
-    /** v's option lists (fine, merged, skeleton), interned. */
-    def optionIds(v: String): OptionIds = {
-      val lists = optionLists(v, tau, cap)
-      val out = new OptionIds(lists.size)
-      var l = 0
-      for (opts <- lists) {
-        val ids = new Array[Array[Int]](opts.length)
-        var d = 0
-        while (d < ids.length) {
-          val o = opts(d)
-          val a = new Array[Int](o.length)
-          var i = 0
-          while (i < a.length) { a(i) = idOf(o(i)); i += 1 }
-          ids(d) = a
-          d += 1
-        }
-        out(l) = ids
-        l += 1
-      }
-      out
-    }
 
     /** The child of `node` along `tok`, created when absent. */
     private def child(node: Int, tok: Int): Int = {
@@ -246,7 +250,7 @@ object Enumerate {
       while (a != 0) { depth += 1; a = parent(a) }
       val ts = new Array[PTok](depth)
       a = node
-      while (a != 0) { depth -= 1; ts(depth) = tokens(tokOf(a)); a = parent(a) }
+      while (a != 0) { depth -= 1; ts(depth) = in.tokenOf(tokOf(a)); a = parent(a) }
       Pat(ts.toVector)
     }
 
@@ -361,35 +365,54 @@ object Enumerate {
     }
   }
 
-  /** Each distinct non-empty value's multiplicity and interned option
-    * lists, in first-seen order; for `minCount > 1`, through the exact
+  /** The interned option lists of values of multiplicities `ms`, value i's
+    * from `listsOf(i)`; for `minCount > 1`, through the exact
     * [[OptionCounts]] pre-filter. Values in no frequent pattern cannot
     * count toward one, so once they hold more than `total − minCount` of
     * the multiplicity no pattern is frequent: the pre-count stops there,
-    * without interning the rest, and every value's lists are empty.
+    * without asking for the rest, and every value's lists are empty.
     */
-  private def columnOptions(c: Counter, values: Seq[String], minCount: Int,
-                            tau: Int): (Array[Int], Array[OptionIds]) = {
-    val mult = collection.mutable.LinkedHashMap.empty[String, Int]
-    for (v <- values if v != null && v.nonEmpty) mult.update(v, mult.getOrElse(v, 0) + 1)
-    val ms = mult.valuesIterator.toArray
-    val vs = mult.keysIterator.toArray
-    if (minCount <= 1 || tau >= MaxKeyedLength) (ms, vs.map(c.optionIds))
+  private def frequentLists(ms: Array[Int], minCount: Int, tau: Int)
+                           (listsOf: Int => OptionIds): Array[OptionIds] =
+    if (minCount <= 1 || tau >= MaxKeyedLength) Array.tabulate(ms.length)(listsOf)
     else {
       val oc = new OptionCounts
-      val lists = new Array[OptionIds](vs.length)
+      val lists = new Array[OptionIds](ms.length)
       var rest = ms.sum
       val spare = rest - minCount
       var dead = 0
       var i = 0
-      while (i < vs.length && dead <= spare) {
-        lists(i) = c.optionIds(vs(i))
+      while (i < ms.length && dead <= spare) {
+        lists(i) = listsOf(i)
         rest -= ms(i)
         if (!oc.add(lists(i), ms(i), i, minCount - rest)) dead += ms(i)
         i += 1
       }
-      (ms, if (dead > spare) Array.fill(vs.length)(new OptionIds(0)) else lists.map(oc.frequent(_, minCount)))
+      if (dead > spare) Array.fill(ms.length)(new OptionIds(0)) else lists.map(oc.frequent(_, minCount))
     }
+
+  /** Each distinct non-empty value's multiplicity and option lists, in
+    * first-seen order, through [[frequentLists]].
+    */
+  private def columnOptions(in: Interner, values: Seq[String], minCount: Int, tau: Int,
+                            cap: Int): (Array[Int], Array[OptionIds]) = {
+    val mult = collection.mutable.LinkedHashMap.empty[String, Int]
+    for (v <- values if v != null && v.nonEmpty) mult.update(v, mult.getOrElse(v, 0) + 1)
+    val ms = mult.valuesIterator.toArray
+    val vs = mult.keysIterator.toArray
+    (ms, frequentLists(ms, minCount, tau)(i => optionIds(vs(i), tau, cap, in)))
+  }
+
+  /** The patterns that the cross-products of `lists` (value i's, of
+    * multiplicity `ms(i)`) reach at least `minCount` times, with their
+    * counts, in the order the walk first reached them.
+    */
+  private def count(in: Interner, ms: Array[Int], lists: Array[OptionIds],
+                    minCount: Int): Vector[(Pat, Int)] = {
+    val c = new Counter(in)
+    var i = 0
+    while (i < lists.length) { c.add(lists(i), ms(i)); i += 1 }
+    c.survivors(minCount)
   }
 
   /** Every pattern p ∈ P(D) that at least `minCount` values v ∈ D have in
@@ -398,11 +421,19 @@ object Enumerate {
     */
   def frequentPatterns(values: Seq[String], minCount: Int, tau: Int = DefaultTau,
                        cap: Int = DefaultCap): Vector[(Pat, Int)] = {
-    val c = new Counter(tau, cap)
-    val (ms, lists) = columnOptions(c, values, minCount, tau)
-    var i = 0
-    while (i < lists.length) { c.add(lists(i), ms(i)); i += 1 }
-    c.survivors(minCount)
+    val in = new Interner
+    val (ms, lists) = columnOptions(in, values, minCount, tau, cap)
+    count(in, ms, lists, minCount)
+  }
+
+  /** H(C) of distinct values given as option lists interned by the
+    * caller's `in`, one entry per value: the patterns every value's
+    * cross-products reach, through the same pre-filter and count as
+    * [[hypothesis]].
+    */
+  private[core] def hypothesisOf(lists: Array[OptionIds], in: Interner, tau: Int): Vector[Pat] = {
+    val ms = Array.fill(lists.length)(1)
+    count(in, ms, frequentLists(ms, lists.length, tau)(lists(_)), lists.length).map(_._1)
   }
 
   /** The option lists that `frequentPatterns(values, minCount)` walks, per
@@ -411,9 +442,9 @@ object Enumerate {
     */
   private[core] def walkedOptions(values: Seq[String], minCount: Int, tau: Int = DefaultTau,
                                   cap: Int = DefaultCap): Vector[Vector[Vector[Vector[PTok]]]] = {
-    val c = new Counter(tau, cap)
-    columnOptions(c, values, minCount, tau)._2.toVector
-      .map(_.toVector.map(_.toVector.map(_.toVector.map(c.tokenOf))))
+    val in = new Interner
+    columnOptions(in, values, minCount, tau, cap)._2.toVector
+      .map(_.toVector.map(_.toVector.map(_.toVector.map(in.tokenOf))))
   }
 
   /** P(v): all patterns consistent with v (fine ∪ merged granularity ∪ the

@@ -125,8 +125,13 @@ object Pattern {
   }
 
   /** Parse a canonical `key` back into a pattern. */
-  def parse(key: String): Pat =
-    Pat(key.split(SEP.toString, -1).toVector.map(parseTok))
+  def parse(key: String): Pat = Pat(tokenKeysOf(key).toVector.map(parseTok))
+
+  /** One token's part of a pattern's canonical `key`. */
+  def tokenKey(t: PTok): String = serializeTok(t)
+
+  /** The token keys of a canonical `key`, in order, without parsing them. */
+  def tokenKeysOf(key: String): Array[String] = key.split(SEP.toString, -1)
 
   /** Token count of a serialized key without parsing (index analytics). */
   def tokenLengthOfKey(key: String): Int = key.count(_ == SEP) + 1

@@ -88,11 +88,17 @@ object OfflineIndexer {
   def buildIndex(cols: RDD[LakeColumn], cfg: IndexConfig = IndexConfig()): PatternIndex =
     aggregate(cols, cfg)
 
+  /** Index entries per written slice. An entry serializes to about 28
+    * bytes, so a slice stays far below Spark's 1,000 KiB task size.
+    */
+  private val EntriesPerSlice = 10000
+
   /** Persist / restore the index (parquet on the local filesystem). */
   def save(spark: SparkSession, idx: PatternIndex, path: String): Unit = {
     import spark.implicits._
-    idx.entries.toSeq.map { case (k, s) => (k, s.fpr, s.cov) }.toDF("pattern", "fpr", "cov")
-      .write.mode("overwrite").parquet(path)
+    val rows = idx.entries.iterator.map { case (k, s) => (k, s.fpr, s.cov) }.toVector
+    spark.sparkContext.parallelize(rows, math.max(1, (rows.size + EntriesPerSlice - 1) / EntriesPerSlice))
+      .toDF("pattern", "fpr", "cov").write.mode("overwrite").parquet(path)
   }
 
   def load(spark: SparkSession, path: String): PatternIndex =
