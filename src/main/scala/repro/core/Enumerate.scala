@@ -15,6 +15,8 @@ import repro.core.Tokens.{Tok, Cls}
   * columns are skipped at indexing and recovered via vertical cuts). If a
   * granularity's cross-product would exceed `cap`, its options are pruned
   * (literals first, then fixed lengths) so enumeration stays tractable.
+  * Option lists come only from [[ValueOptions]], one table per value, for
+  * whole values here and for FMDV-V's runs of tokens alike.
   *
   * Every entry point runs on one [[Counter]]: the cross-products are walked
   * down a prefix trie of interned token ids, and a `Pat` is built only for
@@ -31,52 +33,6 @@ object Enumerate {
     * capped separately, so |P(v)| itself can exceed it).
     */
   val DefaultCap = 8192
-
-  private def productSize(opts: Vector[Vector[PTok]]): Long =
-    opts.foldLeft(1L)((acc, o) => math.min(Long.MaxValue / 2, acc * o.length))
-
-  /** Per-token options of one granularity, pruned level by level until the
-    * cross-product fits under `cap`; past level 3, only each token's first
-    * remaining option is kept (a single pattern).
-    */
-  private def prunedOptions(toks: Vector[Tok], cap: Int): Vector[Vector[PTok]] = {
-    var level = 0
-    var opts = toks.map(t => Hierarchy.optionsPruned(t, level))
-    while (productSize(opts) > cap && level < 3) {
-      level += 1
-      opts = toks.map(t => Hierarchy.optionsPruned(t, level))
-    }
-    if (productSize(opts) > cap) opts.map(o => Vector(o.head)) else opts
-  }
-
-  /** Alnum-skeleton options: every digit/letter/merged run generalizes only
-    * to `<alnum>{n}` / `<alnum>+` (symbols stay literal). At most 2^tokens
-    * patterns, so it survives for every value under τ regardless of cap
-    * pruning — which is what keeps H(C) non-empty on hex-like columns whose
-    * values tokenize differently (all-digit octets vs mixed ones).
-    */
-  private def skeletonOptions(toks: Vector[Tok]): Vector[Vector[PTok]] =
-    toks.map { t =>
-      t.cls match {
-        case Cls.Symbol => Vector[PTok](ConstT(t.text))
-        case _ => Vector[PTok](FixLen(GClass.Alnum, t.len), VarLen(GClass.Alnum))
-      }
-    }
-
-  /** The option lists whose cross-products make up P(v): fine, merged and
-    * skeleton, each only when its granularity fits under τ. Empty for
-    * null/empty values.
-    */
-  private def optionLists(v: String, tau: Int, cap: Int): Seq[Vector[Vector[PTok]]] = {
-    if (v == null || v.isEmpty) return Nil
-    val fine = Tokens.tokenize(v)
-    val merged = Tokens.tokenizeMerged(v)
-    val out = Seq.newBuilder[Vector[Vector[PTok]]]
-    if (fine.length <= tau) out += prunedOptions(fine, cap)
-    if (merged.length <= tau && merged.exists(_.cls == Cls.Alnum)) out += prunedOptions(merged, cap)
-    if (merged.length <= tau) out += skeletonOptions(merged)
-    out.result()
-  }
 
   /** One value's option lists as interned token ids: list × position ×
     * option.
@@ -103,21 +59,115 @@ object Enumerate {
       while (i < a.length) { a(i) = idOf(opts(i)); i += 1 }
       a
     }
+
+    private val alnums = new java.util.HashMap[Integer, Array[Int]]
+
+    /** The ids of `<alnum>{len}` and `<alnum>+`. */
+    def alnumIds(len: Int): Array[Int] = {
+      var o = alnums.get(len)
+      if (o == null) { o = idsOf(Vector(FixLen(GClass.Alnum, len), VarLen(GClass.Alnum))); alnums.put(len, o) }
+      o
+    }
   }
 
-  /** v's option lists (fine, merged, skeleton), interned. */
-  private def optionIds(v: String, tau: Int, cap: Int, in: Interner): OptionIds = {
-    val lists = optionLists(v, tau, cap)
-    val out = new OptionIds(lists.size)
-    var l = 0
-    for (opts <- lists) {
-      val ids = new Array[Array[Int]](opts.length)
-      var d = 0
-      while (d < ids.length) { ids(d) = in.idsOf(opts(d)); d += 1 }
-      out(l) = ids
-      l += 1
+  /** One value's option table: the value is lexed once, and each fine
+    * token's options are interned per pruning level on first use. A run of
+    * fine tokens a … b lexes, as a value of its own, to exactly those
+    * tokens, so [[lists]] is P(v) of any run's text — of the whole value for
+    * the run 0 … length − 1.
+    */
+  private[core] final class ValueOptions(value: String, in: Interner) {
+    private val toks: Vector[Tok] = Tokens.tokenize(value)
+    /** from(k): the offset of token k; from(length) is the value's length. */
+    private val from: Array[Int] = toks.scanLeft(0)(_ + _.len).toArray
+    /** opts(k)(level): token k's options at pruning levels 0–3; level 4
+      * keeps only level 3's first option (the cap's last resort).
+      */
+    private val opts: Array[Array[Array[Int]]] = new Array(toks.length)
+
+    /** The number of fine tokens. */
+    def length: Int = toks.length
+
+    /** The text of fine tokens a … b. */
+    def text(a: Int, b: Int): String = value.substring(from(a), from(b + 1))
+
+    private def isSym(k: Int): Boolean = toks(k).cls == Cls.Symbol
+
+    private def fine(k: Int, level: Int): Array[Int] = {
+      if (opts(k) == null) opts(k) = new Array[Array[Int]](5)
+      val o = opts(k)
+      if (o(level) == null)
+        o(level) = if (level == 4) Array(fine(k, 3)(0)) else in.idsOf(Hierarchy.optionsPruned(toks(k), level))
+      o(level)
     }
-    out
+
+    /** The options of the token that fine tokens a … b merge into: a lone
+      * token keeps its fine options, a digit/letter stretch has `<alnum>{n}`
+      * and `<alnum>+` at every level (the first alone at level 4).
+      */
+    private def merged(a: Int, b: Int, level: Int): Array[Int] =
+      if (a == b) fine(a, level)
+      else {
+        val o = in.alnumIds(from(b + 1) - from(a))
+        if (level == 4) Array(o(0)) else o
+      }
+
+    /** Alnum-skeleton options of the token that fine tokens a … b merge
+      * into: every digit/letter run generalizes only to `<alnum>{n}` /
+      * `<alnum>+` (symbols stay literal). At most 2^tokens patterns, so the
+      * skeleton survives for every value under τ regardless of cap pruning
+      * — which is what keeps H(C) non-empty on hex-like columns whose values
+      * tokenize differently (all-digit octets vs mixed ones).
+      */
+    private def skeleton(a: Int, b: Int): Array[Int] =
+      if (isSym(a)) fine(a, 0) else in.alnumIds(from(b + 1) - from(a))
+
+    /** The option list of the tokens that the runs starts(d) … ends(d)
+      * merge into, at the first pruning level whose cross-product fits
+      * under `cap`, or at level 4 (one pattern) when none does.
+      */
+    private def pruned(starts: Array[Int], ends: Array[Int], cap: Int): Array[Array[Int]] = {
+      def product(level: Int): Long = {
+        var acc = 1L
+        var d = 0
+        while (d < starts.length) {
+          acc = math.min(Long.MaxValue / 2, acc * merged(starts(d), ends(d), level).length)
+          d += 1
+        }
+        acc
+      }
+      var level = 0
+      while (level < 4 && product(level) > cap) level += 1
+      Array.tabulate(starts.length)(d => merged(starts(d), ends(d), level))
+    }
+
+    /** P(v) of the text of fine tokens a … b as option lists: fine, merged
+      * (when a digit/letter stretch merges) and skeleton, each only when its
+      * granularity fits under τ, and each pruned on the run's own product.
+      */
+    def lists(a: Int, b: Int, tau: Int, cap: Int): OptionIds = {
+      // the merged tokens: the maximal digit/letter stretches ms(m) … mt(m)
+      val (ms, mt) = (Array.newBuilder[Int], Array.newBuilder[Int])
+      var k = a
+      while (k <= b) {
+        var end = k
+        if (!isSym(k)) while (end < b && !isSym(end + 1)) end += 1
+        ms += k; mt += end
+        k = end + 1
+      }
+      val (starts, ends, fineRuns) = (ms.result(), mt.result(), Array.range(a, b + 1))
+      val out = Array.newBuilder[Array[Array[Int]]]
+      if (fineRuns.length <= tau) out += pruned(fineRuns, fineRuns, cap)
+      if (starts.length <= tau && starts.length < fineRuns.length) out += pruned(starts, ends, cap)
+      if (starts.length <= tau) out += Array.tabulate(starts.length)(m => skeleton(starts(m), ends(m)))
+      out.result()
+    }
+  }
+
+  /** Non-empty v's option lists (fine, merged, skeleton), interned. */
+  private def optionIds(v: String, tau: Int, cap: Int, in: Interner): OptionIds = {
+    val vo = new ValueOptions(v, in)
+    vo.lists(0, vo.length - 1, tau, cap)
   }
 
   /** An open-addressing map from `Long` keys (≥ 0) to dense ids 0, 1, 2, …

@@ -15,7 +15,9 @@ import repro.index.PatternIndex
   * @param m     coverage target (Eq. 7): Cov_T(h) ≥ m. The paper uses 100 on
   *              a 7.2M-column corpus; defaults scale to the synthetic lake.
   * @param tau   max tokens per enumerated value (τ, §2.4)
-  * @param cap   cap on |P(v)| during enumeration
+  * @param cap   cap on each of a value's fine and merged cross-products,
+  *              past which that granularity's options are pruned level by
+  *              level; the skeleton is never capped, so |P(v)| can exceed it
   * @param theta horizontal-cut tolerance θ (§4)
   * @param alpha significance level of the distributional test (§4)
   * @param useChiSq χ²+Yates instead of Fisher exact at validation time

@@ -190,16 +190,28 @@ object Runners {
   // ------------------------------------------------------------------
   final case class LatencyResult(msPerMethod: Map[String, Double], rendered: String)
 
-  def latency(art: Artifacts, nCols: Int = 20, nColsNoIndex: Int = 3): LatencyResult = {
+  /** Columns the no-index variant, which re-scans the corpus per query, is timed on. */
+  private val NoIndexCols = 3
+
+  /** Each method's average over every patterned B_E column (the no-index
+    * variant's first [[NoIndexCols]]), and each FMDV variant's per-column
+    * p50 / p95 / max, all from one timed pass per method after a warm-up
+    * call.
+    */
+  def latency(art: Artifacts): LatencyResult = {
     val index = art.index("E")
-    val subset = Eval.patternedSubset(art.bench("E")).take(nCols)
+    val all = Eval.patternedSubset(art.bench("E"))
     val corpus = art.corpus("E")
 
-    def timeAvg(label: String, cols: Seq[Benchmark.BenchCase])(f: Seq[String] => Any): (String, Double) = {
+    /** Per-column times in ms, sorted, each with the column's domain. */
+    def timed(cols: Seq[Benchmark.BenchCase])(f: Seq[String] => Any): Vector[(Double, String)] = {
       f(cols.head.train()) // warm-up
-      val t0 = System.nanoTime()
-      cols.foreach(c => f(c.train()))
-      (label, (System.nanoTime() - t0) / 1e6 / cols.size)
+      cols.map { c =>
+        val tr = c.train()
+        val t0 = System.nanoTime()
+        f(tr)
+        ((System.nanoTime() - t0) / 1e6, c.domain)
+      }.toVector.sortBy(_._1)
     }
 
     val fmdvs = Seq[(String, Seq[String] => Any)](
@@ -207,30 +219,20 @@ object Runners {
       "FMDV-V" -> (vs => FmdvV.solve(vs, index)),
       "FMDV-H" -> (vs => FmdvH.solve(vs, index)),
       "FMDV-VH" -> (vs => FmdvH.solveVH(vs, index)))
-    val ms = Map.newBuilder[String, Double]
-    for ((label, f) <- fmdvs) ms += timeAvg(label, subset)(f)
-    ms += timeAvg("PWheel", subset)(vs => PottersWheel.profile(vs))
-    ms += timeAvg("XSystem", subset)(vs => new Profilers.XSystem().learn(vs))
-    ms += timeAvg("FlashProfile", subset)(vs => new Profilers.FlashProfile().learn(vs))
-    ms += timeAvg("FMDV(no-index)", subset.take(nColsNoIndex))(vs => NoIndexFmdv.solve(vs, corpus))
-    val m = ms.result()
-    val order = Seq("FMDV", "FMDV-V", "FMDV-H", "FMDV-VH", "PWheel", "XSystem",
-      "FlashProfile", "FMDV(no-index)")
-    // The tail: each FMDV variant once on every patterned B_E column,
-    // including the wide domains that the average's first columns leave out.
-    val all = Eval.patternedSubset(art.bench("E"))
-    val tail = for ((label, f) <- fmdvs) yield {
-      val byCol = all.map { c =>
-        val tr = c.train()
-        val t0 = System.nanoTime()
-        f(tr)
-        ((System.nanoTime() - t0) / 1e6, c.domain)
-      }.sortBy(_._1)
-      def pct(p: Double): Double = byCol((math.ceil(p * byCol.size).toInt - 1).max(0))._1
-      f"  $label%-15s p50 ${pct(0.5)}%8.2f  p95 ${pct(0.95)}%8.2f  max ${byCol.last._1}%8.2f ms (${byCol.last._2})"
+    val others = Seq[(String, Seq[Benchmark.BenchCase], Seq[String] => Any)](
+      ("PWheel", all, vs => PottersWheel.profile(vs)),
+      ("XSystem", all, vs => new Profilers.XSystem().learn(vs)),
+      ("FlashProfile", all, vs => new Profilers.FlashProfile().learn(vs)),
+      ("FMDV(no-index)", all.take(NoIndexCols), vs => NoIndexFmdv.solve(vs, corpus)))
+    val byCol = fmdvs.map { case (label, f) => label -> timed(all)(f) } ++
+      others.map { case (label, cols, f) => label -> timed(cols)(f) }
+    val m = byCol.map { case (label, ts) => label -> ts.map(_._1).sum / ts.size }.toMap
+    val tail = for ((label, ts) <- byCol.take(fmdvs.size)) yield {
+      def pct(p: Double): Double = ts((math.ceil(p * ts.size).toInt - 1).max(0))._1
+      f"  $label%-15s p50 ${pct(0.5)}%8.2f  p95 ${pct(0.95)}%8.2f  max ${ts.last._1}%8.2f ms (${ts.last._2})"
     }
     val rendered = (Seq("== Figure 14 as a table: avg latency per query column (ms) ==") ++
-      order.map(k => f"  $k%-15s ${m(k)}%12.2f ms") ++
+      byCol.map { case (label, _) => f"  $label%-15s ${m(label)}%12.2f ms" } ++
       Seq(s"-- per column over all ${all.size} patterned B_E columns --") ++ tail).mkString("\n")
     LatencyResult(m, rendered)
   }

@@ -25,7 +25,10 @@ object OfflineIndexer {
   /** Indexing knobs.
     *
     * @param tau            max tokens per enumerated value (paper's τ)
-    * @param capPerValue    cap on |P(v)| before option pruning kicks in
+    * @param capPerValue    cap on each of a value's fine and merged
+    *                       cross-products, past which that granularity's
+    *                       options are pruned; the skeleton is never
+    *                       capped, so |P(v)| can exceed it
     * @param maxValues      cap on values read per column (corpus columns are
     *                       long; impurity estimates converge quickly)
     * @param minEnumerable  skip a column entirely when fewer than this

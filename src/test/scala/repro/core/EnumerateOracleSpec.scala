@@ -79,6 +79,11 @@ class EnumerateOracleSpec extends SparkSpec with PropHelpers {
 
   test("oracle: P(v) is the oracle's, in the same order, on generated values") {
     forSamples(EnumerateSpec.genValue, 200)(checkValue)
+    // a merged stretch beside a lone run ("ab12-x9-q"): the merged list
+    // holds the lone run's literal and classes, the skeleton only
+    // `<alnum>`, so only such values show the list order in P(v)
+    forSamples(FmdvVSpec.genColumn, 60)(_.filter(_.nonEmpty).foreach(checkValue))
+    (FmdvVSpec.fixedColumns.flatten :+ "ab12-x9-q").foreach(checkValue)
   }
 
   test("oracle: P(v) is the oracle's on every pruning level, the fallback and GUIDs") {
@@ -113,6 +118,25 @@ class EnumerateOracleSpec extends SparkSpec with PropHelpers {
 
   test("oracle: frequentPatterns and its option pre-filter agree at every threshold on hand-built columns") {
     for (vs <- handBuiltColumns; (tau, cap) <- settings) checkFrequent(vs, tau, cap)
+  }
+
+  test("oracle: every run of a value's tokens has the option lists of its text as a whole value") {
+    val generated = Iterator.continually(genColumn.sample).flatten.take(100).flatten ++
+      Iterator.continually(FmdvVSpec.genColumn.sample).flatten.take(30).flatten
+    val values = (generated ++ FmdvVSpec.fixedColumns.flatten ++ pruningValues ++ handBuiltColumns.flatten)
+      .filter(v => v != null && v.nonEmpty).toVector.distinct
+    for (v <- values; (tau, cap) <- settings) {
+      val in = new Enumerate.Interner
+      val table = new Enumerate.ValueOptions(v, in)
+      assert(table.length == Tokens.tokenize(v).length)
+      for (a <- 0 until table.length; b <- a until table.length) {
+        val sub = table.text(a, b)
+        assert(Tokens.tokenize(sub).length == b - a + 1, s"'$sub' of '$v'")
+        val got = table.lists(a, b, tau, cap).toVector.map(_.toVector.map(_.toVector.map(in.tokenOf)))
+        assert(got == Enumerate.walkedOptions(Seq(sub), 1, tau, cap).head,
+          s"run $a … $b ('$sub') of '$v' at tau=$tau cap=$cap")
+      }
+    }
   }
 
   test("oracle: P(v) agrees on every distinct value of the test lake") {
