@@ -7,9 +7,12 @@ import java.util.regex.{Pattern => JPattern}
   * nodes are `<digit>`, `<upper>`, `<lower>`, `<letter>`, `<alnum>`, each
   * either fixed-length (`{n}`) or variable-length (`+`).
   *
-  * Patterns compile to anchored Java regexes for validation-time matching and
-  * serialize to a stable canonical `key` used as the offline-index key. A
-  * human-readable `display` form matches the paper's notation.
+  * A pattern matches a whole value through a bit-parallel Shift-And
+  * automaton (`ShiftAnd`) with one bit per character position, built once
+  * per pattern; a pattern of more than 64 positions falls back to its
+  * anchored Java regex (`compiled`), which is also the matcher's reference.
+  * Patterns serialize to a stable canonical `key` used as the offline-index
+  * key. A human-readable `display` form matches the paper's notation.
   */
 object Pattern {
 
@@ -68,11 +71,106 @@ object Pattern {
     def display: String = toks.map(_.display).mkString
     def specificity: Int = toks.map(_.specificity).sum
     def tokenLength: Int = toks.length
+    /** The anchored regex: the matcher of patterns over 64 positions, and
+      * the reference the Shift-And matcher is tested against.
+      */
     @transient lazy val compiled: JPattern =
       JPattern.compile("^" + toks.map(_.regex).mkString + "$")
+    /** null when the pattern has more than 64 positions. */
+    @transient private lazy val shiftAnd: ShiftAnd = ShiftAnd(toks)
     /** Anchored match of a whole value. */
-    def matches(v: String): Boolean = v != null && compiled.matcher(v).matches()
+    def matches(v: String): Boolean = v != null && {
+      val sa = shiftAnd
+      if (sa != null) sa.matches(v) else compiled.matcher(v).matches()
+    }
     override def toString: String = display
+  }
+
+  /** Shift-And (Baeza-Yates & Gonnet 1992) over a pattern's character
+    * positions: a literal of k code points gives k positions, `<cls>{n}`
+    * gives n, `<cls>+` one position with a self-loop. Bit i of the state is
+    * set when the value read so far can end at position i. The value is
+    * stepped by code point, as the regex and `Tokens` read it, so a
+    * surrogate pair never meets two literal positions.
+    *
+    * @param ascii     per ASCII char, the positions that accept it
+    * @param wideCps   the non-ASCII code points of the literals, one per
+    *                  position, with
+    * @param wideMasks that position's bit
+    * @param loops     the positions with a self-loop
+    * @param m         the number of positions (≤ 64)
+    */
+  private final class ShiftAnd(ascii: Array[Long], wideCps: Array[Int], wideMasks: Array[Long],
+                               loops: Long, m: Int) {
+    private[this] val last = if (m == 0) 0L else 1L << (m - 1)
+
+    private def mask(c: Int): Long =
+      if (c < 128) ascii(c)
+      else {
+        var b = 0L
+        var k = 0
+        while (k < wideCps.length) { if (wideCps(k) == c) b |= wideMasks(k); k += 1 }
+        b
+      }
+
+    def matches(v: String): Boolean = {
+      val n = v.length
+      if (n == 0) return m == 0
+      // the start state enters only at the first code point: the match is anchored
+      var c = v.codePointAt(0)
+      var d = mask(c) & 1L
+      var i = Character.charCount(c)
+      while (d != 0 && i < n) {
+        c = v.charAt(i)
+        if (c < 128) i += 1
+        else { c = v.codePointAt(i); i += Character.charCount(c) }
+        d = ((d << 1) | (d & loops)) & mask(c)
+      }
+      (d & last) != 0
+    }
+  }
+
+  private object ShiftAnd {
+    /** Per class, by `order`, the ASCII code points its regex accepts. */
+    private val members: Array[Array[Int]] = GClass.all.sortBy(_.order).map { cls =>
+      (0 until 128).filter(c => JPattern.matches(cls.regex, c.toChar.toString)).toArray
+    }.toArray
+
+    /** The matcher of `toks`, or null when they need more than 64 positions
+      * (or hold a negative length, which the regex rejects).
+      */
+    def apply(toks: Vector[PTok]): ShiftAnd = {
+      val ascii = new Array[Long](128)
+      val classBits = new Array[Long](members.length)
+      var wideCps = Array.emptyIntArray
+      var wideMasks = Array.emptyLongArray
+      var loops = 0L
+      var m = 0
+      val it = toks.iterator
+      while (it.hasNext) it.next() match {
+        case ConstT(text) =>
+          var i = 0
+          while (i < text.length) {
+            if (m == 64) return null
+            val cp = text.codePointAt(i)
+            if (cp < 128) ascii(cp) |= 1L << m
+            else { wideCps :+= cp; wideMasks :+= 1L << m }
+            m += 1
+            i += Character.charCount(cp)
+          }
+        case FixLen(cls, n) =>
+          if (n < 0 || n > 64 - m) return null
+          if (n > 0) classBits(cls.order) |= (-1L >>> (64 - n)) << m
+          m += n
+        case VarLen(cls) =>
+          if (m == 64) return null
+          classBits(cls.order) |= 1L << m
+          loops |= 1L << m
+          m += 1
+      }
+      for (k <- classBits.indices if classBits(k) != 0; c <- members(k)) ascii(c) |= classBits(k)
+      new ShiftAnd(ascii, wideCps, wideMasks, loops, m)
+    }
   }
 
   private val SEP = '\u0001'

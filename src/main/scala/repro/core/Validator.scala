@@ -41,7 +41,7 @@ final case class TolerantPatternRule(
 
   def flags(test: Seq[String]): Boolean = {
     if (test.isEmpty) return false
-    val bad = test.count(v => v == null || !pat.matches(v))
+    val bad = test.count(v => !pat.matches(v))
     val thetaTest = bad.toDouble / test.size
     if (thetaTest <= thetaTrain) return false
     val p =

@@ -164,6 +164,92 @@ class PatternSpec extends SparkSpec with PropHelpers {
     }
   }
 
+  private val high = '\uD83D'
+  private val low = '\uDE00'
+
+  // Differential test of `matches` against the anchored regex it replaces:
+  // all five classes, {n} up to 70 (over 64 positions is the regex
+  // fallback), empty literals, and literals of ASCII, control characters,
+  // non-ASCII letters and digits, and lone and paired surrogates.
+  private val litChars: Seq[String] =
+    (('a' to 'c') ++ ('X' to 'Z') ++ ('0' to '2') ++ "/-:. \u0000\t\n\u007f").map(_.toString) ++
+      Seq("\u00e9", "\u0660", "\uff10", high.toString, low.toString, s"$high$low")
+  private val genLit: Gen[String] = Gen.choose(1, 4).flatMap(Gen.listOfN(_, Gen.oneOf(litChars))).map(_.mkString)
+
+  private val genDiffTok: Gen[PTok] = Gen.frequency(
+    3 -> Gen.zip(Gen.oneOf(GClass.all), Gen.frequency(4 -> Gen.choose(1, 6), 1 -> Gen.choose(7, 70)))
+      .map { case (c, n) => FixLen(c, n) },
+    3 -> Gen.oneOf(GClass.all).map(VarLen(_)),
+    1 -> Gen.const(ConstT("")),
+    4 -> genLit.map(ConstT(_)))
+
+  private val classChars: Map[GClass, IndexedSeq[Char]] =
+    GClass.all.map(c => c -> (0 until 128).map(_.toChar).filter(ch => c.regex.r.matches(ch.toString))).toMap
+
+  private def genWitness(p: Pat): Gen[String] =
+    Gen.sequence[List[String], String](p.toks.map {
+      case ConstT(t)    => Gen.const(t)
+      case FixLen(c, n) => Gen.listOfN(n, Gen.oneOf(classChars(c))).map(_.mkString)
+      case VarLen(c)    => Gen.choose(1, 4).flatMap(Gen.listOfN(_, Gen.oneOf(classChars(c)))).map(_.mkString)
+    }).map(_.mkString)
+
+  /** One edit of `v` at a random place: insert, delete or replace a char. */
+  private def genEdit(v: String): Gen[String] = for {
+    i <- Gen.choose(0, v.length)
+    s <- Gen.oneOf(litChars ++ Seq("7", "q", "Q"))
+    kind <- Gen.choose(0, 2)
+  } yield kind match {
+    case 0 => v.take(i) + s + v.drop(i)
+    case 1 => v.take(i) + v.drop(i + 1)
+    case _ => v.take(i) + s + v.drop(i + 1)
+  }
+
+  private val genDiffCase: Gen[(Pat, Seq[String])] = for {
+    k <- Gen.choose(1, 6)
+    toks <- Gen.listOfN(k, genDiffTok)
+    p = Pat(toks.toVector)
+    w <- genWitness(p)
+    edited <- Gen.listOfN(2, genEdit(w))
+    prefixed <- Gen.oneOf(litChars).map(_ + w)
+    random <- Gen.listOfN(2, Gen.choose(0, 8).flatMap(Gen.listOfN(_, Gen.oneOf(litChars))).map(_.mkString))
+  } yield (p, Seq(w, prefixed) ++ edited ++ random)
+
+  private def positions(p: Pat): Int = p.toks.map {
+    case ConstT(t)    => t.codePointCount(0, t.length)
+    case FixLen(_, n) => n
+    case VarLen(_)    => 1
+  }.sum
+
+  private def showCodeUnits(v: String): String = v.map(c => f"${c.toInt}%04x").mkString("[", " ", "]")
+
+  /** Cases pinned besides the generated ones: a surrogate pair split over
+    * two literals (one code point, so no match) or inside one, and lengths
+    * around the 64-position fallback.
+    */
+  private val pinnedCases: Seq[(Pat, Seq[String])] = Seq(
+    pat(ConstT(high.toString), ConstT(low.toString)) -> Seq(s"$high$low"),
+    pat(ConstT(s"$high$low")) -> Seq(s"$high$low"),
+    pat(ConstT(high.toString), FixLen(GClass.Digit, 1)) -> Seq(s"${high}7")) ++
+    Seq(63, 64, 65).flatMap { n =>
+      val vs = Seq(n - 1, n, n + 1, n + 3).map("7" * _)
+      Seq(pat(FixLen(GClass.Digit, n)) -> vs, pat(FixLen(GClass.Digit, n - 1), VarLen(GClass.Alnum)) -> vs)
+    }
+
+  test("property: matches agrees with the anchored regex on 20,000 patterns") {
+    var overlong, matched, missed = 0
+    def check(p: Pat, vs: Seq[String]): Unit = {
+      if (positions(p) > 64) overlong += 1
+      for (v <- vs) {
+        val expected = p.compiled.matcher(v).matches()
+        assert(p.matches(v) == expected, s"${p.toks} on ${showCodeUnits(v)}: regex says $expected")
+        if (expected) matched += 1 else missed += 1
+      }
+    }
+    for ((p, vs) <- pinnedCases) check(p, vs)
+    forSamples(genDiffCase, 20000) { case (p, vs) => check(p, vs) }
+    assert(overlong > 0 && matched > 0 && missed > 0, s"$overlong over 64 positions, $matched / $missed")
+  }
+
   private def sampleChar(c: GClass): Char = c match {
     case GClass.Digit => '7'
     case GClass.Upper => 'Q'

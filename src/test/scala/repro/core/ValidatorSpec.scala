@@ -1,5 +1,7 @@
 package repro.core
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+
 import repro.SparkSpec
 import repro.core.Pattern._
 
@@ -69,5 +71,35 @@ class ValidatorSpec extends SparkSpec {
   test("describe renders the pattern") {
     assert(StrictPatternRule("t", datePat).describe.contains("<digit>+"))
     assert(TolerantPatternRule("t", datePat, 1, 10).describe.contains("θ"))
+  }
+
+  private def javaRoundTrip(r: Rule): Rule = {
+    val bytes = new ByteArrayOutputStream
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(r)
+    out.close()
+    new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[Rule]
+  }
+
+  test("rules give the same verdicts after Java serialization") {
+    // 70 positions: matched by the regex fallback, not the bit-parallel matcher
+    val longPat = Pat(Vector(FixLen(GClass.Digit, 70)))
+    val rules = Seq(
+      StrictPatternRule("s", datePat),
+      TolerantPatternRule("t", datePat, nonConfTrain = 1, nTrain = 1000),
+      StrictPatternRule("l", longPat))
+    val batches = Seq(
+      Vector("1/2/2020", "12/31/1999"),
+      Vector("1/2/2020", null),
+      Vector.fill(950)("1/2/2020") ++ Vector.fill(50)("-"),
+      Vector("7" * 70),
+      Vector("7" * 69))
+    for (r <- rules) {
+      val verdicts = batches.map(r.flags) // the matcher is built before the rule is sent
+      val copy = javaRoundTrip(r)
+      assert(copy == r)
+      assert(batches.map(copy.flags) == verdicts, r.name)
+      assert(verdicts.contains(true) && verdicts.contains(false), r.name)
+    }
   }
 }
