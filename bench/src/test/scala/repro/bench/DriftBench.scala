@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestFixtures}
 import repro.eval.Runners
 
 /** Figure 15 as a table — schema-drift detection on synthetic Kaggle-like
@@ -10,7 +10,7 @@ import repro.eval.Runners
   */
 class DriftBench extends SparkSpec {
   test("Figure 15: schema-drift detection") {
-    val res = Runners.drift(BenchFixtures.art)
+    val res = Runners.drift(TestFixtures.art)
     println(res.rendered)
     val detected = res.results.count(_.detected)
     assert(detected >= 6, s"detected only $detected/11")

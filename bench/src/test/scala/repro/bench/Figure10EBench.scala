@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestFixtures}
 import repro.eval.Runners
 
 /** Figure 10(a) as a table — precision/recall of all methods on B_E.
@@ -10,7 +10,7 @@ import repro.eval.Runners
   * on string data; Grok high precision / low recall; FD-UB covers only ~25%.
   */
 class Figure10EBench extends SparkSpec {
-  lazy val res = Runners.figure10(BenchFixtures.art, "E")
+  lazy val res = Runners.figure10(TestFixtures.art, "E")
   def score(name: String) = res.scores.find(_.method == name).get
 
   test("Figure 10(a): run and print") {

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestFixtures}
 import repro.eval.Runners
 
 /** Figure 10(b) as a table — the government-like benchmark B_G: smaller
@@ -8,7 +8,7 @@ import repro.eval.Runners
   * relative to B_E, but FMDV variants stay on top.
   */
 class Figure10GBench extends SparkSpec {
-  lazy val res = Runners.figure10(BenchFixtures.art, "G")
+  lazy val res = Runners.figure10(TestFixtures.art, "G")
   def score(name: String) = res.scores.find(_.method == name).get
 
   test("Figure 10(b): run and print") {
@@ -23,7 +23,7 @@ class Figure10GBench extends SparkSpec {
   }
 
   test("harder benchmark: FMDV-VH recall drops relative to B_E") {
-    val e = Runners.figure10(BenchFixtures.art, "E")
+    val e = Runners.figure10(TestFixtures.art, "E")
     val vhG = score("FMDV-VH"); val vhE = e.scores.find(_.method == "FMDV-VH").get
     assert(vhG.f1 <= vhE.f1 + 0.02, s"B_G (${vhG.f1}) should not beat B_E (${vhE.f1})")
   }

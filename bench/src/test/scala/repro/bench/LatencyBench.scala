@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestFixtures}
 import repro.eval.Runners
 
 /** Figure 14 as a table — average latency per query column.
@@ -11,7 +11,7 @@ import repro.eval.Runners
   */
 class LatencyBench extends SparkSpec {
   test("Figure 14: per-query-column latency") {
-    val res = Runners.latency(BenchFixtures.art)
+    val res = Runners.latency(TestFixtures.art)
     println(res.rendered)
     val m = res.msPerMethod
     for (v <- Seq("FMDV", "FMDV-V", "FMDV-H", "FMDV-VH"))

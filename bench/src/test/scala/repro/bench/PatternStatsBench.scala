@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestFixtures}
 import repro.eval.Runners
 
 /** Figure 13 as tables — distribution of patterns in the offline index.
@@ -10,7 +10,7 @@ import repro.eval.Runners
   */
 class PatternStatsBench extends SparkSpec {
   test("Figure 13: pattern distribution in the offline index") {
-    val res = Runners.patternStats(BenchFixtures.art)
+    val res = Runners.patternStats(TestFixtures.art)
     println(res.rendered)
     assert(res.byLen.keys.max >= 9, "index should contain wide patterns")
     assert(res.byLen.values.sum > 30000L, "index should hold tens of thousands of patterns")

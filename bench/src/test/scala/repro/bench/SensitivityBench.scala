@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestFixtures}
 import repro.eval.Runners
 
 /** Figure 12 as tables — sensitivity of the FMDV variants to the FPR target
@@ -12,7 +12,7 @@ import repro.eval.Runners
   * matters little unless too small.
   */
 class SensitivityBench extends SparkSpec {
-  lazy val res = Runners.sensitivity(BenchFixtures.art)
+  lazy val res = Runners.sensitivity(TestFixtures.art)
   def get(param: String, value: Double, method: String): (Double, Double) =
     res.rows.collectFirst { case (p, v, m, pr, rc) if p == param && math.abs(v - value) < 1e-9 && m == method => (pr, rc) }.get
 

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestFixtures}
 import repro.eval.Runners
 
 /** Table 1 — characteristics of the (synthetic) corpora.
@@ -12,7 +12,7 @@ import repro.eval.Runners
   */
 class Table1Bench extends SparkSpec {
   test("Table 1: corpus characteristics") {
-    val res = Runners.table1(BenchFixtures.art)
+    val res = Runners.table1(TestFixtures.art)
     println(res.rendered)
     assert(res.e.cols > 1000, "enterprise corpus should be >1000 columns")
     assert(res.e.cols > 2 * res.g.cols, "T_E should dwarf T_G")

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestFixtures}
 import repro.eval.Runners
 
 /** Table 2 — programmatic evaluation vs hand-curated ground truth for
@@ -11,7 +11,7 @@ import repro.eval.Runners
   */
 class Table2Bench extends SparkSpec {
   test("Table 2: programmatic vs ground-truth evaluation") {
-    val res = Runners.table2(BenchFixtures.art)
+    val res = Runners.table2(TestFixtures.art)
     println(res.rendered)
     assert(res.groundTruth.precision >= res.programmatic.precision - 1e-9,
       "removing noise values can only help precision")

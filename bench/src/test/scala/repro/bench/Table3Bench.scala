@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestFixtures}
 import repro.eval.Runners
 
 /** Table 3 — the user study, with simulated programmer policies (DESIGN.md
@@ -9,7 +9,7 @@ import repro.eval.Runners
   */
 class Table3Bench extends SparkSpec {
   test("Table 3: simulated user study") {
-    val res = Runners.table3(BenchFixtures.art)
+    val res = Runners.table3(TestFixtures.art)
     println(res.rendered)
     val byName = res.rows.map(r => r._1 -> r).toMap
     val vh = byName("FMDV-VH")

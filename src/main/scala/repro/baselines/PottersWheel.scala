@@ -51,7 +51,7 @@ object PottersWheel {
     val exact = Enumerate.hypothesis(vs)
     val candidates =
       if (exact.nonEmpty) exact
-      else Enumerate.generatePatterns(vs, minCoverage = 0.9).map(_._1)
+      else Enumerate.frequentPatterns(vs, math.ceil(0.9 * vs.size).toInt).map(_._1)
     if (candidates.isEmpty) None
     else Some(candidates.minBy(p => (descriptionLength(p, vs), p.key)))
   }

@@ -28,7 +28,7 @@ object Profilers {
       val exact = Enumerate.hypothesis(vs)
       val cands =
         if (exact.nonEmpty) exact
-        else Enumerate.generatePatterns(vs, minCoverage = 0.95).map(_._1)
+        else Enumerate.frequentPatterns(vs, math.ceil(0.95 * vs.size).toInt).map(_._1)
       if (cands.isEmpty) None
       else Some(repro.core.StrictPatternRule(name,
         cands.maxBy(p => (p.specificity, p.key))))

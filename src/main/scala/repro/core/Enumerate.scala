@@ -468,6 +468,8 @@ object Enumerate {
   /** Every pattern p ∈ P(D) that at least `minCount` values v ∈ D have in
     * P(v) (counted with multiplicity), with that count, in the order the
     * walk first reached them. Null and empty values count toward no pattern.
+    * Algorithm 1 (GeneratePatterns) is this count at a coverage threshold c:
+    * `frequentPatterns(vs, ⌈c·|vs|⌉)` over the non-empty values vs.
     */
   def frequentPatterns(values: Seq[String], minCount: Int, tau: Int = DefaultTau,
                        cap: Int = DefaultCap): Vector[(Pat, Int)] = {
@@ -528,20 +530,5 @@ object Enumerate {
     val counts = collection.mutable.HashMap.empty[String, Int]
     for ((p, n) <- frequentPatterns(values, 1, tau, cap)) counts.update(p.key, n)
     counts
-  }
-
-  /** Algorithm 1 (GeneratePatterns): coarse patterns with a coverage
-    * threshold, then drill-down keeping fine patterns meeting the threshold.
-    * Returns patterns covering at least `minCoverage` fraction of values —
-    * this is the profiling-style entry point (used by FMDV-H's greedy step
-    * and by profiling baselines).
-    */
-  def generatePatterns(values: Seq[String], minCoverage: Double,
-                       tau: Int = DefaultTau, cap: Int = DefaultCap): Vector[(Pat, Int)] = {
-    val vs = values.filter(v => v != null && v.nonEmpty)
-    if (vs.isEmpty) return Vector.empty
-    val need = math.ceil(minCoverage * vs.size).toInt
-    frequentPatterns(vs, need, tau, cap)
-      .sortBy { case (p, c) => (-c, -p.specificity, p.key) }
   }
 }

@@ -18,18 +18,15 @@ import repro.index.PatternIndex
   * @param cap   cap on each of a value's fine and merged cross-products,
   *              past which that granularity's options are pruned level by
   *              level; the skeleton is never capped, so |P(v)| can exceed it
-  * @param theta horizontal-cut tolerance θ (§4)
-  * @param alpha significance level of the distributional test (§4)
-  * @param useChiSq χ²+Yates instead of Fisher exact at validation time
+  * @param theta horizontal-cut tolerance θ (§4); the learned rule's test
+  *              and its α are [[TolerantPatternRule]]'s
   */
 final case class FmdvConfig(
     r: Double = 0.15,
     m: Long = 5,
     tau: Int = Enumerate.DefaultTau,
     cap: Int = Enumerate.DefaultCap,
-    theta: Double = 0.10,
-    alpha: Double = 0.01,
-    useChiSq: Boolean = false)
+    theta: Double = 0.10)
 
 /** A feasible FMDV solution: the chosen pattern and its corpus statistics. */
 final case class Solution(pat: Pat, fpr: Double, cov: Long)

@@ -66,15 +66,13 @@ object FmdvH {
   final class AsMethod(index: PatternIndex, cfg: FmdvConfig = FmdvConfig(),
                        override val name: String = "FMDV-H") extends Method {
     def learn(train: Seq[String]): Option[Rule] =
-      solve(train, index, cfg).map(s =>
-        TolerantPatternRule(name, s.pat, s.nonConfTrain, s.nTrain, cfg.alpha, cfg.useChiSq))
+      solve(train, index, cfg).map(s => TolerantPatternRule(name, s.pat, s.nonConfTrain, s.nTrain))
   }
 
   /** FMDV-VH as a tolerant validation [[Method]]. */
   final class VhMethod(index: PatternIndex, cfg: FmdvConfig = FmdvConfig(),
                        override val name: String = "FMDV-VH") extends Method {
     def learn(train: Seq[String]): Option[Rule] =
-      solveVH(train, index, cfg).map(s =>
-        TolerantPatternRule(name, s.pat, s.nonConfTrain, s.nTrain, cfg.alpha, cfg.useChiSq))
+      solveVH(train, index, cfg).map(s => TolerantPatternRule(name, s.pat, s.nonConfTrain, s.nTrain))
   }
 }

@@ -70,7 +70,6 @@ object Pattern {
     /** Paper-style rendering. */
     def display: String = toks.map(_.display).mkString
     def specificity: Int = toks.map(_.specificity).sum
-    def tokenLength: Int = toks.length
     /** The anchored regex: the matcher of patterns over 64 positions, and
       * the reference the Shift-And matcher is tested against.
       */

@@ -37,21 +37,21 @@ object OfflineIndexer {
     * @param minCov         drop index entries seen in fewer columns — they
     *                       can never satisfy a coverage constraint m ≥ minCov
     *                       and dominate index size (Fig. 13b's long tail)
-    * @param minColCoverage Algorithm 1's per-column coverage threshold: a
-    *                       pattern enters P(D) only when it covers at least
-    *                       this fraction of D's values. Without it a single
-    *                       stray value (one "NULL" in a date column) makes D
-    *                       count as a near-total-impurity column for every
-    *                       pattern of the stray value's shape, drowning good
-    *                       patterns in artifact FPR.
     */
   final case class IndexConfig(
       tau: Int = Enumerate.DefaultTau,
       capPerValue: Int = Enumerate.DefaultCap,
       maxValues: Int = 100,
       minEnumerable: Double = 0.5,
-      minCov: Long = 2L,
-      minColCoverage: Double = 0.1)
+      minCov: Long = 2L)
+
+  /** Algorithm 1's per-column coverage threshold: a pattern enters P(D) only
+    * when it covers at least this fraction of D's values. Without it a
+    * single stray value (one "NULL" in a date column) makes D count as a
+    * near-total-impurity column for every pattern of the stray value's
+    * shape, drowning good patterns in artifact FPR.
+    */
+  val MinColCoverage = 0.1
 
   /** Per-column local evidence: one row per pattern in P(D). */
   private[index] def localEvidence(values: Seq[String], cfg: IndexConfig): Seq[(String, Double)] = {
@@ -61,7 +61,7 @@ object OfflineIndexer {
     if (enumerable < cfg.minEnumerable * vs.size) return Nil
     val n = vs.size.toDouble
     // counts are integers, so cnt ≥ x exactly when cnt ≥ ⌈x⌉
-    val minCnt = math.ceil(math.max(1.0, cfg.minColCoverage * n)).toInt
+    val minCnt = math.ceil(math.max(1.0, MinColCoverage * n)).toInt
     Enumerate.frequentPatterns(vs, minCnt, cfg.tau, cfg.capPerValue)
       .map { case (p, cnt) => (p.key, 1.0 - cnt / n) }
   }
@@ -96,15 +96,11 @@ object OfflineIndexer {
     */
   private val EntriesPerSlice = 10000
 
-  /** Persist / restore the index (parquet on the local filesystem). */
+  /** Persist the index as parquet rows (pattern, fpr, cov). */
   def save(spark: SparkSession, idx: PatternIndex, path: String): Unit = {
     import spark.implicits._
     val rows = idx.entries.iterator.map { case (k, s) => (k, s.fpr, s.cov) }.toVector
     spark.sparkContext.parallelize(rows, math.max(1, (rows.size + EntriesPerSlice - 1) / EntriesPerSlice))
       .toDF("pattern", "fpr", "cov").write.mode("overwrite").parquet(path)
   }
-
-  def load(spark: SparkSession, path: String): PatternIndex =
-    new PatternIndex(spark.read.parquet(path).select("pattern", "fpr", "cov").collect().iterator
-      .map(r => r.getString(0) -> PatternStats(r.getDouble(1), r.getLong(2))).toMap)
 }

@@ -3,6 +3,7 @@ package repro.core
 import repro.core.Enumerate.{DefaultCap, DefaultTau}
 import repro.core.Pattern._
 import repro.core.Tokens.{Tok, Cls}
+import repro.index.OfflineIndexer
 
 /** Test-scope reference for [[Enumerate]]: the plain cross-product
   * enumerator, which materialises every pattern of P(v) with its key, and
@@ -95,45 +96,34 @@ object EnumerateOracle {
     * divides by total value count to get impurity).
     */
   def columnPatternCounts(values: Seq[String], tau: Int = DefaultTau,
-                          cap: Int = DefaultCap): collection.Map[String, Int] = {
+                          cap: Int = DefaultCap): collection.Map[String, Int] =
+    countKeys(values, patternKeysOf(_, tau, cap))
+
+  /** [[columnPatternCounts]] with each distinct value's P(v) keys taken from
+    * `keysOf`.
+    */
+  private def countKeys(values: Seq[String], keysOf: String => Iterable[String]): collection.Map[String, Int] = {
     val counts = collection.mutable.HashMap.empty[String, Int]
     val byValue = values.filter(v => v != null && v.nonEmpty).groupBy(identity)
-    for ((v, occs) <- byValue) {
-      val mult = occs.size
-      for (k <- patternKeysOf(v, tau, cap))
-        counts.update(k, counts.getOrElse(k, 0) + mult)
-    }
+    for ((v, occs) <- byValue; k <- keysOf(v)) counts.update(k, counts.getOrElse(k, 0) + occs.size)
     counts
-  }
-
-  /** Algorithm 1 (GeneratePatterns) over the oracle counts, sorted by
-    * coverage, then specificity, then key.
-    */
-  def generatePatterns(values: Seq[String], minCoverage: Double,
-                       tau: Int = DefaultTau, cap: Int = DefaultCap): Vector[(Pat, Int)] = {
-    val vs = values.filter(v => v != null && v.nonEmpty)
-    if (vs.isEmpty) return Vector.empty
-    val need = math.ceil(minCoverage * vs.size).toInt
-    val counts = columnPatternCounts(vs, tau, cap)
-    counts.iterator
-      .filter(_._2 >= need)
-      .map { case (k, c) => (Pattern.parse(k), c) }
-      .toVector
-      .sortBy { case (p, c) => (-c, -p.specificity, p.key) }
   }
 
   /** The offline indexer's per-column evidence (pattern key, Imp_D) on top
     * of the oracle counts: the first `maxValues` non-empty values, the τ
     * skip of wide columns, and the per-column coverage threshold.
+    * `keysOf(v)` must be the oracle's P(v) keys at `cfg`'s τ and cap — its
+    * [[patternKeysOf]], or a caller's memo of it.
     */
-  def localEvidence(values: Seq[String], cfg: repro.index.OfflineIndexer.IndexConfig): Seq[(String, Double)] = {
+  def localEvidence(values: Seq[String], cfg: OfflineIndexer.IndexConfig,
+                    keysOf: String => Iterable[String]): Seq[(String, Double)] = {
     val vs = values.iterator.filter(v => v != null && v.nonEmpty).take(cfg.maxValues).toVector
     if (vs.isEmpty) return Nil
     val enumerable = vs.count(v => Tokens.effectiveTokenCount(v) <= cfg.tau)
     if (enumerable < cfg.minEnumerable * vs.size) return Nil
     val n = vs.size.toDouble
-    val minCnt = math.max(1.0, cfg.minColCoverage * n)
-    columnPatternCounts(vs, cfg.tau, cfg.capPerValue)
+    val minCnt = math.max(1.0, OfflineIndexer.MinColCoverage * n)
+    countKeys(vs, keysOf)
       .iterator
       .filter { case (_, cnt) => cnt >= minCnt }
       .map { case (key, cnt) => (key, 1.0 - cnt / n) }.toSeq

@@ -1,9 +1,10 @@
 package repro.core
 
-import java.util.concurrent.{Callable, Executors}
+import java.util.concurrent.{Callable, ConcurrentHashMap, Executors}
 import org.scalacheck.Gen
 import repro.{PropHelpers, SparkSpec, TestFixtures}
 import repro.core.Enumerate.{DefaultCap, DefaultTau}
+import repro.index.OfflineIndexer.IndexConfig
 
 /** The trie-counting [[Enumerate]] against the cross-product
   * [[EnumerateOracle]]: P(v), per-column counts, H(C) and Algorithm 1's
@@ -34,9 +35,6 @@ class EnumerateOracleSpec extends SparkSpec with PropHelpers {
         s"counts of $vs at tau=$tau cap=$cap")
       assert(keys(Enumerate.hypothesis(vs, tau, cap)) == keys(EnumerateOracle.hypothesis(vs, tau, cap)),
         s"H of $vs at tau=$tau cap=$cap")
-      for (cov <- Seq(0.0, 0.5, 0.9, 1.0))
-        assert(Enumerate.generatePatterns(vs, cov, tau, cap) == EnumerateOracle.generatePatterns(vs, cov, tau, cap),
-          s"generatePatterns($vs, $cov) at tau=$tau cap=$cap")
     }
 
   /** `frequentPatterns(vs, k)` for every k from 1 to |non-empty vs| + 1
@@ -140,12 +138,8 @@ class EnumerateOracleSpec extends SparkSpec with PropHelpers {
   }
 
   test("oracle: P(v) agrees on every distinct value of the test lake") {
-    val values = TestFixtures.corpusEColumns.flatMap(_.values)
-      .filter(v => v != null && v.nonEmpty).distinct
-    val bad = inParallel(values) { v =>
-      if (Enumerate.patternsOf(v) == EnumerateOracle.patternsOf(v)) None else Some(v)
-    }.flatten
-    assert(bad.isEmpty, s"${bad.size} of ${values.size} values differ, e.g. ${bad.take(3)}")
+    val lake = testLakeOracle
+    assert(lake.bad.isEmpty, s"${lake.bad.size} of ${lake.checked} values differ, e.g. ${lake.bad.take(3)}")
   }
 
   test("oracle: H(C) agrees on every test-lake column's training prefix") {
@@ -218,6 +212,37 @@ object EnumerateOracleSpec {
       n <- Gen.choose(0, 12)
       col <- Gen.listOfN(n, cell(Gen.oneOf(pool)))
     } yield col.toVector
+  }
+
+  /** The cross-product oracle over the test lake, in one pass shared by
+    * the P(v) test here and `OfflineIndexerSpec`'s index test.
+    *
+    * @param bad     distinct values whose `Enumerate.patternsOf` differs from the oracle's
+    * @param checked number of distinct values compared
+    * @param evidence every column's `localEvidence` under the default
+    *                 [[IndexConfig]], built from the same oracle P(v)
+    */
+  final case class TestLakeOracle(bad: Vector[String], checked: Int, evidence: Vector[(String, Double)])
+
+  /** The oracle's P(v) once per column and distinct value: compared with
+    * `Enumerate` in whichever column reaches the value first, and its keys
+    * kept for that column's evidence. Only one column's keys are held at
+    * a time (4 threads).
+    */
+  lazy val testLakeOracle: TestLakeOracle = {
+    val cfg = IndexConfig()
+    require((cfg.tau, cfg.capPerValue) == (DefaultTau, DefaultCap))
+    val checked = ConcurrentHashMap.newKeySet[String]()
+    val perColumn = inParallel(TestFixtures.corpusEColumns) { c =>
+      val keys = collection.mutable.HashMap.empty[String, Vector[String]]
+      val bad = c.values.filter(v => v != null && v.nonEmpty).distinct.filter { v =>
+        val want = EnumerateOracle.patternsOf(v)
+        keys(v) = want.map(_.key)
+        checked.add(v) && Enumerate.patternsOf(v) != want
+      }
+      (bad, EnumerateOracle.localEvidence(c.values, cfg, keys))
+    }
+    TestLakeOracle(perColumn.flatMap(_._1), checked.size, perColumn.flatMap(_._2))
   }
 
   /** `f` over `xs` on a few threads, in order. */

@@ -119,18 +119,13 @@ class EnumerateSpec extends SparkSpec with PropHelpers {
     assert(counts(Pat(Vector(VarLen(GClass.Digit))).key) == 1)
   }
 
-  test("generatePatterns honors the coverage threshold (Algorithm 1)") {
+  test("frequentPatterns honors the coverage threshold (Algorithm 1)") {
     val vs = Seq.fill(9)("9:07") ++ Seq("oops")
-    val full = Enumerate.generatePatterns(vs, minCoverage = 0.9)
+    val full = Enumerate.frequentPatterns(vs, 9) // 90% coverage
     assert(full.nonEmpty)
     assert(full.forall(_._2 >= 9))
-    val strict = Enumerate.generatePatterns(vs, minCoverage = 1.0)
+    val strict = Enumerate.frequentPatterns(vs, vs.size)
     assert(strict.isEmpty) // nothing covers the odd one out
-  }
-
-  test("generatePatterns orders by coverage then specificity") {
-    val res = Enumerate.generatePatterns(Seq("12", "34", "567"), minCoverage = 0.5)
-    assert(res.head._2 >= res.last._2)
   }
 
   test("cap pruning keeps enumeration bounded for pathological values") {

@@ -87,9 +87,8 @@ class FmdvHSpec extends SparkSpec {
   }
 
   test("chi-squared variant behaves like Fisher on clear cases") {
-    val cfg = FmdvConfig(useChiSq = true)
-    val m = new FmdvH.VhMethod(index, cfg)
-    val rule = m.learn(dirtyDates(33, 100, 0.03)).get
+    val learned = new FmdvH.VhMethod(index).learn(dirtyDates(33, 100, 0.03)).get
+    val rule = learned.asInstanceOf[TolerantPatternRule].copy(useChiSq = true)
     assert(!rule.flags(dirtyDates(34, 300, 0.03)))
     assert(rule.flags(Domains.statusD.make(new Random(35), 200)))
   }

@@ -79,7 +79,7 @@ class PatternSpec extends SparkSpec with PropHelpers {
       pat(ConstT("\u0003\u0003"), ConstT("31\u0003")))
     for (p <- ps) {
       assert(Pattern.parse(p.key) == p, s"roundtrip of ${p.toks}")
-      assert(Pattern.tokenLengthOfKey(p.key) == p.tokenLength)
+      assert(Pattern.tokenLengthOfKey(p.key) == p.toks.length)
     }
   }
 
@@ -91,7 +91,6 @@ class PatternSpec extends SparkSpec with PropHelpers {
   test("tokenLengthOfKey avoids parsing") {
     val p = pat(ConstT("a"), VarLen(GClass.Digit), FixLen(GClass.Upper, 1))
     assert(Pattern.tokenLengthOfKey(p.key) == 3)
-    assert(p.tokenLength == 3)
   }
 
   test("concat composes segment patterns") {
@@ -149,7 +148,7 @@ class PatternSpec extends SparkSpec with PropHelpers {
   }
 
   test("property: tokenLengthOfKey equals tokenLength") {
-    forSamples(genPat) { p => assert(Pattern.tokenLengthOfKey(p.key) == p.tokenLength) }
+    forSamples(genPat) { p => assert(Pattern.tokenLengthOfKey(p.key) == p.toks.length) }
   }
 
   test("property: a generated witness string matches its pattern") {

@@ -1,7 +1,7 @@
 package repro.index
 
 import repro.{Oracle, SparkSpec, TestFixtures}
-import repro.core.{EnumerateOracle, EnumerateOracleSpec, Pattern}
+import repro.core.{EnumerateOracleSpec, Pattern}
 import repro.core.Pattern._
 import repro.index.OfflineIndexer.IndexConfig
 import repro.lake.{LakeColumn, LakeGen}
@@ -109,8 +109,7 @@ class OfflineIndexerSpec extends SparkSpec {
   }
 
   test("build: the test lake's index equals one aggregated from the cross-product oracle") {
-    val ev = EnumerateOracleSpec.inParallel(TestFixtures.corpusEColumns)(c =>
-      EnumerateOracle.localEvidence(c.values, cfg)).flatten
+    val ev = EnumerateOracleSpec.testLakeOracle.evidence
     val want = ev.groupBy(_._1).collect { case (k, rows) if rows.size >= cfg.minCov =>
       k -> (rows.map(_._2).sum / rows.size, rows.size.toLong)
     }
@@ -148,8 +147,9 @@ class OfflineIndexerSpec extends SparkSpec {
     assert(idx.size > 0)
     val dir = java.nio.file.Files.createTempDirectory("idx").toString + "/index.parquet"
     OfflineIndexer.save(spark, idx, dir)
-    val loaded = OfflineIndexer.load(spark, dir)
-    assert(loaded.entries == idx.entries)
+    val loaded = spark.read.parquet(dir).select("pattern", "fpr", "cov").collect()
+      .map(r => r.getString(0) -> PatternStats(r.getDouble(1), r.getLong(2))).toMap
+    assert(loaded == idx.entries)
   }
 
   test("PatternIndex analytics: token-length histogram and coverage buckets") {
