@@ -24,10 +24,20 @@ object Dict {
 
   /** Flags a batch when less than `minInDict` of values are in-dictionary. */
   final case class FractionalDictRule(name: String, dict: Set[String], minInDict: Double) extends Rule {
+    /** The in-dictionary fraction is monotone in the count, so the values
+      * are read only until the full count can no longer cross `minInDict`.
+      */
     def flags(test: Seq[String]): Boolean = {
-      if (test.isEmpty) return false
-      val in = test.count(dict.contains)
-      in.toDouble / test.size < minInDict
+      val n = test.size
+      if (n == 0) return false
+      val it = test.iterator
+      var in = 0
+      var left = n
+      while (in.toDouble / n < minInDict && (in + left).toDouble / n >= minInDict) {
+        if (dict.contains(it.next())) in += 1
+        left -= 1
+      }
+      in.toDouble / n < minInDict
     }
     def describe: String = f"≥$minInDict%.2f of values ∈ dict(${dict.size})"
   }

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentHashMap
+
 import repro.core.Pattern.Pat
 import repro.stats.StatTests
 
@@ -39,15 +41,51 @@ final case class TolerantPatternRule(
 
   def thetaTrain: Double = if (nTrain == 0) 0.0 else nonConfTrain.toDouble / nTrain
 
+  /** The §4 test on a batch of n values of which `bad` miss the pattern:
+    * θ_test > θ_train, and then p < α.
+    */
+  private def alarm(bad: Int, n: Int): Boolean =
+    bad.toDouble / n > thetaTrain && {
+      val p =
+        if (useChiSq) StatTests.chiSquaredYates(nonConfTrain, nTrain - nonConfTrain, bad, n - bad)
+        else StatTests.fisherExactTwoTailed(nonConfTrain, nTrain - nonConfTrain, bad, n - bad)
+      p < alpha
+    }
+
+  /** Per batch size n, the critical region of [[alarm]]: for each miss count
+    * b ∈ 0..n, `end << 1 | alarm(b, n)`, where end is the largest count up to
+    * which every count from b on gives the same alarm. Built on the first
+    * batch of each size; never serialized.
+    */
+  @transient private lazy val regions = new ConcurrentHashMap[Integer, Array[Int]]
+
+  private def region(n: Int): Array[Int] = {
+    val r = new Array[Int](n + 1)
+    var b = n
+    while (b >= 0) {
+      val a = if (alarm(b, n)) 1 else 0
+      val end = if (b < n && (r(b + 1) & 1) == a) r(b + 1) >> 1 else b
+      r(b) = end << 1 | a
+      b -= 1
+    }
+    r
+  }
+
+  /** Counts misses only until every final count still reachable (the misses
+    * so far plus any number of the values left) gives the same alarm.
+    */
   def flags(test: Seq[String]): Boolean = {
-    if (test.isEmpty) return false
-    val bad = test.count(v => !pat.matches(v))
-    val thetaTest = bad.toDouble / test.size
-    if (thetaTest <= thetaTrain) return false
-    val p =
-      if (useChiSq) StatTests.chiSquaredYates(nonConfTrain, nTrain - nonConfTrain, bad, test.size - bad)
-      else StatTests.fisherExactTwoTailed(nonConfTrain, nTrain - nonConfTrain, bad, test.size - bad)
-    p < alpha
+    val n = test.size
+    if (n == 0) return false
+    val r = regions.computeIfAbsent(n, k => region(k))
+    val it = test.iterator
+    var bad = 0
+    var left = n
+    while ((r(bad) >> 1) < bad + left) {
+      if (!pat.matches(it.next())) bad += 1
+      left -= 1
+    }
+    (r(bad) & 1) == 1
   }
 
   def describe: String = f"${pat.display} (θ=$thetaTrain%.3f, α=$alpha)"

@@ -102,7 +102,9 @@ object Runners {
     val cases = art.bench(corpus)
     val subset = Eval.patternedSubset(cases)
     val ms = methods(index, art.cols(corpus))
+    val t0 = System.nanoTime()
     val scores = Eval.evaluateAll(ms, cases)
+    val evalMs = (System.nanoTime() - t0) / 1e6
     val fdUb = UpperBounds.fdUpperBoundRecall(subset)
     val adUb = UpperBounds.adUpperBoundRecall(subset, art.cols(corpus))
     val lines = scores.map(s => Eval.scoreRow(s.method, s.precision, s.recall)) ++
@@ -111,7 +113,7 @@ object Runners {
     val rendered = (Seq(
       s"== Figure 10(${if (corpus == "E") "a" else "b"}) as a table: benchmark B_$corpus ==",
       s"(${subset.size} of ${cases.size} cases have syntactic patterns; scores on that subset)",
-      Eval.scoreHeader) ++ lines).mkString("\n")
+      Eval.scoreHeader) ++ lines :+ f"(evaluation wall time: $evalMs%.0f ms)").mkString("\n")
     Fig10Result(scores, fdUb, adUb, subset.size, cases.size, rendered)
   }
 

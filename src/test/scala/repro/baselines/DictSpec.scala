@@ -58,4 +58,21 @@ class DictSpec extends SparkSpec {
     assert(r.flags(Seq("a", "b", "b")))
     assert(!r.flags(Seq.empty))
   }
+
+  test("FractionalDictRule: the early exit agrees with the full count") {
+    def fullCount(r: FractionalDictRule, test: Seq[String]): Boolean =
+      test.nonEmpty && test.count(r.dict.contains).toDouble / test.size < r.minInDict
+    for (min <- Seq(0.0, 0.25, 1.0 / 3, 0.5, 0.85, 0.9, 1.0, 1.5)) {
+      val r = FractionalDictRule("t", Set("a"), min)
+      for (n <- 0 to 40; in <- 0 to n) {
+        val placed = Seq[Int => Boolean](_ < in, _ >= n - in,
+          i => (i + 1) * in / n > i * in / n)
+        for (isIn <- placed) {
+          val b = Vector.tabulate(n)(i => if (isIn(i)) "a" else "b")
+          assert(r.flags(b) == fullCount(r, b) && r.flags(b.toList) == fullCount(r, b),
+            s"minInDict=$min n=$n in=$in")
+        }
+      }
+    }
+  }
 }
