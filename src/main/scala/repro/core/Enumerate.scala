@@ -21,7 +21,10 @@ import repro.core.Tokens.{Tok, Cls}
   * Every entry point runs on one [[Counter]]: the cross-products are walked
   * down a prefix trie of interned token ids, and a `Pat` is built only for
   * the trie nodes whose count reaches the caller's threshold (for H(C),
-  * every distinct value).
+  * every distinct value). Before any walk, the values (or FMDV-V's runs of
+  * tokens) are grouped by token shape ([[group]]): values whose lists can
+  * differ only in literals that cannot reach the threshold are counted by
+  * one walk of one set of lists, with their summed multiplicity.
   */
 object Enumerate {
 
@@ -52,6 +55,20 @@ object Enumerate {
 
     def tokenOf(id: Int): PTok = tokens(id)
 
+    private val shapes = new IdMap(4)
+
+    /** A dense id for a token shape code (`Tokens.shapeCode`). */
+    def shapeId(code: Long): Int = shapes.getOrAdd(code)
+
+    private val literals = new java.util.HashMap[String, Integer]
+
+    /** The id of `ConstT(text)`, without a `ConstT` once `text` was seen. */
+    def literalId(text: String): Int = {
+      val id = literals.get(text)
+      if (id != null) id.intValue
+      else { val i = idOf(ConstT(text)); literals.put(text, i); i }
+    }
+
     /** `opts` as an array of ids. */
     def idsOf(opts: Vector[PTok]): Array[Int] = {
       val a = new Array[Int](opts.length)
@@ -70,34 +87,48 @@ object Enumerate {
     }
   }
 
-  /** One value's option table: the value is lexed once, and each fine
-    * token's options are interned per pruning level on first use. A run of
-    * fine tokens a … b lexes, as a value of its own, to exactly those
-    * tokens, so [[lists]] is P(v) of any run's text — of the whole value for
-    * the run 0 … length − 1.
+  /** One value's option table: the value is lexed once into token offsets
+    * and shape codes, and each fine token's options are interned per
+    * pruning level on first use. A run of fine tokens a … b lexes, as a
+    * value of its own, to exactly those tokens, so [[lists]] is P(v) of any
+    * run's text — of the whole value for the run 0 … length − 1.
     */
   private[core] final class ValueOptions(value: String, in: Interner) {
-    private val toks: Vector[Tok] = Tokens.tokenize(value)
     /** from(k): the offset of token k; from(length) is the value's length. */
-    private val from: Array[Int] = toks.scanLeft(0)(_ + _.len).toArray
+    private val from: Array[Int] = Tokens.offsets(value)
+    private val codes: Array[Long] = Array.tabulate(from.length - 1)(k => Tokens.shapeCode(value, from(k), from(k + 1)))
+    private val shapes: Array[Int] = codes.map(in.shapeId)
+    /** 1 + token k's literal id, 0 until first asked for. */
+    private val literals = new Array[Int](codes.length)
     /** opts(k)(level): token k's options at pruning levels 0–3; level 4
       * keeps only level 3's first option (the cap's last resort).
       */
-    private val opts: Array[Array[Array[Int]]] = new Array(toks.length)
+    private val opts: Array[Array[Array[Int]]] = new Array(codes.length)
 
     /** The number of fine tokens. */
-    def length: Int = toks.length
+    def length: Int = codes.length
 
     /** The text of fine tokens a … b. */
     def text(a: Int, b: Int): String = value.substring(from(a), from(b + 1))
 
-    private def isSym(k: Int): Boolean = toks(k).cls == Cls.Symbol
+    /** Token k's shape (`Tokens.shapeCode`), interned. */
+    def shape(k: Int): Int = shapes(k)
+
+    /** The id of token k's text as a literal; equal ids are equal tokens. */
+    def literal(k: Int): Int = {
+      if (literals(k) == 0) literals(k) = in.literalId(text(k, k)) + 1
+      literals(k) - 1
+    }
+
+    private def isSym(k: Int): Boolean = Tokens.isSymbolShape(codes(k))
 
     private def fine(k: Int, level: Int): Array[Int] = {
       if (opts(k) == null) opts(k) = new Array[Array[Int]](5)
       val o = opts(k)
       if (o(level) == null)
-        o(level) = if (level == 4) Array(fine(k, 3)(0)) else in.idsOf(Hierarchy.optionsPruned(toks(k), level))
+        o(level) =
+          if (level == 4) Array(fine(k, 3)(0))
+          else in.idsOf(Hierarchy.optionsPruned(Tok(Tokens.clsOfShape(codes(k)), text(k, k)), level))
       o(level)
     }
 
@@ -122,11 +153,11 @@ object Enumerate {
     private def skeleton(a: Int, b: Int): Array[Int] =
       if (isSym(a)) fine(a, 0) else in.alnumIds(from(b + 1) - from(a))
 
-    /** The option list of the tokens that the runs starts(d) … ends(d)
-      * merge into, at the first pruning level whose cross-product fits
-      * under `cap`, or at level 4 (one pattern) when none does.
+    /** The first pruning level at which the cross-product of the tokens
+      * that the runs starts(d) … ends(d) merge into fits under `cap`, or 4
+      * (one pattern) when none does.
       */
-    private def pruned(starts: Array[Int], ends: Array[Int], cap: Int): Array[Array[Int]] = {
+    private def level(starts: Array[Int], ends: Array[Int], cap: Int): Int = {
       def product(level: Int): Long = {
         var acc = 1L
         var d = 0
@@ -138,14 +169,21 @@ object Enumerate {
       }
       var level = 0
       while (level < 4 && product(level) > cap) level += 1
-      Array.tabulate(starts.length)(d => merged(starts(d), ends(d), level))
+      level
     }
 
     /** P(v) of the text of fine tokens a … b as option lists: fine, merged
       * (when a digit/letter stretch merges) and skeleton, each only when its
       * granularity fits under τ, and each pruned on the run's own product.
       */
-    def lists(a: Int, b: Int, tau: Int, cap: Int): OptionIds = {
+    def lists(a: Int, b: Int, tau: Int, cap: Int): OptionIds = plan(a, b, tau, cap).lists
+
+    /** [[lists]] of fine tokens a … b with its literal slots: a digit or
+      * letter literal is option 0 at each position of a level-0 list that
+      * holds one fine token alone (every position of the fine list, the
+      * lone runs of the merged one). Both depend only on the run's shapes.
+      */
+    private[core] def plan(a: Int, b: Int, tau: Int, cap: Int): Plan = {
       // the merged tokens: the maximal digit/letter stretches ms(m) … mt(m)
       val (ms, mt) = (Array.newBuilder[Int], Array.newBuilder[Int])
       var k = a
@@ -156,28 +194,53 @@ object Enumerate {
         k = end + 1
       }
       val (starts, ends, fineRuns) = (ms.result(), mt.result(), Array.range(a, b + 1))
-      val out = Array.newBuilder[Array[Array[Int]]]
-      if (fineRuns.length <= tau) out += pruned(fineRuns, fineRuns, cap)
-      if (starts.length <= tau && starts.length < fineRuns.length) out += pruned(starts, ends, cap)
+      val out = collection.mutable.ArrayBuffer.empty[Array[Array[Int]]]
+      val slots = Array.newBuilder[Int]
+      def add(starts: Array[Int], ends: Array[Int]): Unit = {
+        val lv = level(starts, ends, cap)
+        if (lv == 0)
+          for (d <- starts.indices if starts(d) == ends(d) && !isSym(starts(d))) {
+            slots += out.length; slots += d; slots += starts(d) - a
+          }
+        out += Array.tabulate(starts.length)(d => merged(starts(d), ends(d), lv))
+      }
+      if (fineRuns.length <= tau) add(fineRuns, fineRuns)
+      if (starts.length <= tau && starts.length < fineRuns.length) add(starts, ends)
       if (starts.length <= tau) out += Array.tabulate(starts.length)(m => skeleton(starts(m), ends(m)))
-      out.result()
+      new Plan(out.toArray, slots.result())
     }
   }
 
-  /** Non-empty v's option lists (fine, merged, skeleton), interned. */
-  private def optionIds(v: String, tau: Int, cap: Int, in: Interner): OptionIds = {
-    val vo = new ValueOptions(v, in)
-    vo.lists(0, vo.length - 1, tau, cap)
+  /** A run's option lists and its literal slots, as (list, position,
+    * token offset in the run) triples.
+    */
+  private[core] final class Plan(val lists: OptionIds, val slots: Array[Int]) {
+    /** [[lists]] with slot i's literal replaced by `lits(i)`, or dropped
+      * where `lits(i)` is −1.
+      */
+    def withLiterals(lits: Array[Int]): OptionIds = {
+      var out = lists
+      var i = 0
+      while (i < lits.length) {
+        val (l, d) = (slots(3 * i), slots(3 * i + 1))
+        val o = lists(l)(d)
+        if (lits(i) != o(0)) {
+          if (out eq lists) out = lists.map(_.clone)
+          out(l)(d) = if (lits(i) < 0) java.util.Arrays.copyOfRange(o, 1, o.length) else { val c = o.clone; c(0) = lits(i); c }
+        }
+        i += 1
+      }
+      out
+    }
   }
 
   /** An open-addressing map from `Long` keys (≥ 0) to dense ids 0, 1, 2, …
     * handed out in insertion order, so callers keep per-key values in plain
     * arrays indexed by id. Keys and ids lie side by side, so a probe touches
-    * one cache line. Starts small and doubles when half full, since one
-    * solve often counts only a few short values.
+    * one cache line. Starts at 2^`bits` slots (small, since one solve
+    * often counts only a few short values) and doubles when half full.
     */
-  private final class IdMap {
-    private var bits = 7
+  private final class IdMap(private var bits: Int = 7) {
     private var slots = emptySlots(bits)
     private var n = 0
 
@@ -415,6 +478,131 @@ object Enumerate {
     }
   }
 
+  /** The [[Plan]]s of runs by token shape: a trie of interned shapes, in
+    * which the node that a run's shapes end at holds the plan of the first
+    * run that reached it. Runs of equal shapes have equal lists but for
+    * their literal slots, so they share the plan.
+    */
+  private[core] final class Shapes(tau: Int, cap: Int) {
+    private val trie = new IdMap
+    private var planAt = new Array[Int](64) // 1 + the plan of a node, 0 for none
+    private val plans = collection.mutable.ArrayBuffer.empty[Plan]
+
+    /** The node of a run's shapes extended by token k of `vo`, from the
+      * node of the run before it (0 for the empty run).
+      */
+    def extend(node: Int, vo: ValueOptions, k: Int): Int = trie.getOrAdd((node.toLong << 32) | vo.shape(k)) + 1
+
+    /** The plan id of fine tokens a … b of `vo`, whose shapes end at `node`. */
+    def planId(node: Int, vo: ValueOptions, a: Int, b: Int): Int = {
+      if (node >= planAt.length) planAt = java.util.Arrays.copyOf(planAt, 2 * node)
+      if (planAt(node) == 0) { plans += vo.plan(a, b, tau, cap); planAt(node) = plans.length }
+      planAt(node) - 1
+    }
+
+    /** The plan id of fine tokens a … b of `vo`. */
+    def planId(vo: ValueOptions, a: Int, b: Int): Int = {
+      var node = 0
+      var k = a
+      while (k <= b) { node = extend(node, vo, k); k += 1 }
+      planId(node, vo, a, b)
+    }
+
+    def apply(id: Int): Plan = plans(id)
+  }
+
+  /** Runs grouped for counting: `of(r)` is run r's group, and group g has
+    * option lists `lists(g)` and the summed multiplicity `ms(g)` of its
+    * runs; groups are in the order of their first runs.
+    */
+  private[core] final class Groups(val of: Array[Int], val lists: Array[OptionIds], val ms: Array[Int])
+
+  /** Groups the runs r (the fine tokens from `as(r)` of `vos(r)` that plan
+    * `planIds(r)` of `shapes` covers, of multiplicity `ms(r)`) whose option
+    * lists are equal once the literals that cannot reach `minCount` are
+    * dropped, so that one walk of a group's lists, with its summed
+    * multiplicity, counts all its runs.
+    *
+    * A slot's literal joins the group key when its (list length,
+    * position, literal) key is counted, over all runs with multiplicity
+    * and each run once, at least `minCount` times; a key is counted only
+    * if, where it is first met, the runs left can still bring it there.
+    * Otherwise no pattern counted `minCount` times holds the literal
+    * there, and the group's lists drop it, after the pruning level was
+    * chosen on the unfiltered product. Without the option pre-filter
+    * (`minCount` ≤ 1, or τ too wide for its keys) every literal joins the
+    * key. So a group's runs have equal lists once the pre-filter has run,
+    * and a pattern's first reaching run is its group's first run: counts,
+    * survivors and first-reached order are unchanged. At H(C)'s threshold
+    * (`minCount` = the total multiplicity) a kept literal is at its slot
+    * in every run, so each plan is one group. Keys and groups are tries
+    * of `Int` ids in [[IdMap]]s; no string is built for them.
+    */
+  private[core] def group(vos: Array[ValueOptions], as: Array[Int], ms: Array[Int], planIds: Array[Int],
+                          shapes: Shapes, minCount: Int, tau: Int): Groups = {
+    val n = vos.length
+    val strip = minCount > 1 && tau < MaxKeyedLength
+    // each run's literals as slot-ordered ids, and the count of each
+    // (list length, position, literal) key that can still reach minCount
+    // when first met (-1 for the others)
+    var lits = new Array[Int](64)
+    var keyOf = new Array[Int](64)
+    val litKeys = new IdMap(4)
+    var counts = new Array[Int](64)
+    var rest = ms.sum
+    val total = rest
+    var r = 0
+    var j = 0
+    while (r < n) {
+      val p = shapes(planIds(r))
+      var i = 0
+      while (i < p.slots.length) {
+        if (j == lits.length) { lits = java.util.Arrays.copyOf(lits, 2 * j); keyOf = java.util.Arrays.copyOf(keyOf, 2 * j) }
+        lits(j) = vos(r).literal(as(r) + p.slots(i + 2))
+        if (strip) {
+          val key = (p.lists(p.slots(i)).length.toLong << 48) | (p.slots(i + 1).toLong << 32) | lits(j)
+          var id = litKeys.get(key)
+          if (id < 0 && rest >= minCount) {
+            id = litKeys.getOrAdd(key)
+            if (id == counts.length) counts = java.util.Arrays.copyOf(counts, 2 * id)
+          }
+          if (id >= 0) counts(id) += ms(r)
+          keyOf(j) = id
+        }
+        i += 3; j += 1
+      }
+      rest -= ms(r)
+      r += 1
+    }
+    // the runs' groups: a trie over the plan and each slot's kept literal,
+    // or the plan alone at H(C)'s threshold
+    val trie = new IdMap(4)
+    var groupAt = new Array[Int](64) // 1 + the group of a trie node, 0 for none
+    val of = new Array[Int](n)
+    val lists = collection.mutable.ArrayBuffer.empty[OptionIds]
+    val gms = collection.mutable.ArrayBuffer.empty[Int]
+    r = 0
+    j = 0
+    while (r < n) {
+      val p = shapes(planIds(r))
+      val first = j
+      var node = trie.getOrAdd(planIds(r)) + 1
+      while (j < first + p.slots.length / 3) {
+        if (strip && (keyOf(j) < 0 || counts(keyOf(j)) < minCount)) lits(j) = -1
+        if (!strip || minCount < total) node = trie.getOrAdd((node.toLong << 32) | (lits(j) + 1)) + 1
+        j += 1
+      }
+      if (node >= groupAt.length) groupAt = java.util.Arrays.copyOf(groupAt, 2 * node)
+      if (groupAt(node) == 0) {
+        lists += p.withLiterals(java.util.Arrays.copyOfRange(lits, first, j)); gms += 0; groupAt(node) = lists.length
+      }
+      of(r) = groupAt(node) - 1
+      gms(of(r)) += ms(r)
+      r += 1
+    }
+    new Groups(of, lists.toArray, gms.toArray)
+  }
+
   /** The interned option lists of values of multiplicities `ms`, value i's
     * from `listsOf(i)`; for `minCount > 1`, through the exact
     * [[OptionCounts]] pre-filter. Values in no frequent pattern cannot
@@ -441,16 +629,18 @@ object Enumerate {
       if (dead > spare) Array.fill(ms.length)(new OptionIds(0)) else lists.map(oc.frequent(_, minCount))
     }
 
-  /** Each distinct non-empty value's multiplicity and option lists, in
-    * first-seen order, through [[frequentLists]].
+  /** Each distinct non-empty value's group (first-seen order), and each
+    * group's multiplicity and option lists through [[frequentLists]].
     */
   private def columnOptions(in: Interner, values: Seq[String], minCount: Int, tau: Int,
-                            cap: Int): (Array[Int], Array[OptionIds]) = {
+                            cap: Int): (Array[Int], Array[Int], Array[OptionIds]) = {
     val mult = collection.mutable.LinkedHashMap.empty[String, Int]
     for (v <- values if v != null && v.nonEmpty) mult.update(v, mult.getOrElse(v, 0) + 1)
-    val ms = mult.valuesIterator.toArray
-    val vs = mult.keysIterator.toArray
-    (ms, frequentLists(ms, minCount, tau)(i => optionIds(vs(i), tau, cap, in)))
+    val vos = mult.keysIterator.map(new ValueOptions(_, in)).toArray
+    val shapes = new Shapes(tau, cap)
+    val g = group(vos, new Array[Int](vos.length), mult.valuesIterator.toArray,
+      vos.map(vo => shapes.planId(vo, 0, vo.length - 1)), shapes, minCount, tau)
+    (g.of, g.ms, frequentLists(g.ms, minCount, tau)(g.lists(_)))
   }
 
   /** The patterns that the cross-products of `lists` (value i's, of
@@ -474,29 +664,29 @@ object Enumerate {
   def frequentPatterns(values: Seq[String], minCount: Int, tau: Int = DefaultTau,
                        cap: Int = DefaultCap): Vector[(Pat, Int)] = {
     val in = new Interner
-    val (ms, lists) = columnOptions(in, values, minCount, tau, cap)
+    val (_, ms, lists) = columnOptions(in, values, minCount, tau, cap)
     count(in, ms, lists, minCount)
   }
 
-  /** H(C) of distinct values given as option lists interned by the
-    * caller's `in`, one entry per value: the patterns every value's
-    * cross-products reach, through the same pre-filter and count as
-    * [[hypothesis]].
+  /** The patterns that groups of multiplicities `ms`, given as option
+    * lists interned by the caller's `in`, reach `minCount` times, through
+    * the same pre-filter and count as [[frequentPatterns]]: H(C) when
+    * `minCount` is the runs' total multiplicity.
     */
-  private[core] def hypothesisOf(lists: Array[OptionIds], in: Interner, tau: Int): Vector[Pat] = {
-    val ms = Array.fill(lists.length)(1)
-    count(in, ms, frequentLists(ms, lists.length, tau)(lists(_)), lists.length).map(_._1)
-  }
+  private[core] def hypothesisOf(ms: Array[Int], lists: Array[OptionIds], minCount: Int, in: Interner,
+                                 tau: Int): Vector[Pat] =
+    count(in, ms, frequentLists(ms, minCount, tau)(lists(_)), minCount).map(_._1)
 
-  /** The option lists that `frequentPatterns(values, minCount)` walks, per
-    * distinct non-empty value in first-seen order (list × position ×
-    * option), so tests can check the pre-filter against a direct count.
+  /** The option lists that `frequentPatterns(values, minCount)` walks for
+    * each distinct non-empty value in first-seen order (its group's lists,
+    * list × position × option), so tests can check the grouping and the
+    * pre-filter against a direct count.
     */
   private[core] def walkedOptions(values: Seq[String], minCount: Int, tau: Int = DefaultTau,
                                   cap: Int = DefaultCap): Vector[Vector[Vector[Vector[PTok]]]] = {
     val in = new Interner
-    columnOptions(in, values, minCount, tau, cap)._2.toVector
-      .map(_.toVector.map(_.toVector.map(_.toVector.map(in.tokenOf))))
+    val (of, _, lists) = columnOptions(in, values, minCount, tau, cap)
+    of.toVector.map(g => lists(g).toVector.map(_.toVector.map(_.toVector.map(in.tokenOf))))
   }
 
   /** P(v): all patterns consistent with v (fine ∪ merged granularity ∪ the

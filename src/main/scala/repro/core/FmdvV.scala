@@ -50,7 +50,9 @@ object FmdvV {
     * non-gap cells), so its option lists are those of the run in v's
     * [[Enumerate.ValueOptions]] table. All values' tables share one
     * interner, so each (value, token, pruning level) option list is
-    * interned once for every span that holds the token.
+    * interned once for every span that holds the token. A span's
+    * sub-values are grouped by run shape (`Enumerate.group`), and each
+    * group's lists are built, filtered and walked once.
     *
     * Before H(C) is counted, an option is dropped when no index key of its
     * list's length holds it at its position (`PatternIndex.slotsOf`): a
@@ -100,42 +102,78 @@ object FmdvV {
       out
     }
 
-    /** The distinct sub-values of span [s, e], as (value i, first token a,
-      * last token b), or None when a value has only gaps in it.
+    private val shapes = new Enumerate.Shapes(cfg.tau, cfg.cap)
+    /** nodes(i)(a)(b − a): the `shapes` node of value i's fine tokens a … b,
+      * filled for every b on first use.
       */
-    private def span(s: Int, e: Int): Option[Vector[(Int, Int, Int)]] = {
-      val seen = new java.util.HashSet[String]
-      val out = Vector.newBuilder[(Int, Int, Int)]
-      var i = 0
-      while (i < vals.length) {
-        val (a, b) = (first(i)(s), last(i)(e))
-        if (a > b) return None
-        if (seen.add(vals(i).text(a, b))) out += ((i, a, b))
-        i += 1
+    private val nodes: Array[Array[Array[Int]]] = vals.map(v => new Array[Array[Int]](v.length))
+
+    private def planId(i: Int, a: Int, b: Int): Int = {
+      val v = vals(i)
+      if (nodes(i)(a) == null) {
+        val ns = new Array[Int](v.length - a)
+        var (node, k) = (0, a)
+        while (k < v.length) { node = shapes.extend(node, v, k); ns(k - a) = node; k += 1 }
+        nodes(i)(a) = ns
       }
-      Some(out.result())
+      shapes.planId(nodes(i)(a)(b - a), v, a, b)
     }
 
-    private def lists(sub: (Int, Int, Int)): Enumerate.OptionIds =
-      vals(sub._1).lists(sub._2, sub._3, cfg.tau, cfg.cap)
+    /** 1 + (1 when [[keyless]]) for each plan id, 0 until known. */
+    private var keylessAt = new Array[Byte](64)
 
-    /** The sub-values' H(C), as `Enumerate.hypothesis` counts it, less
-      * patterns that cannot be index keys; empty when no key is in some
-      * sub-value's P(v).
+    /** True when plan p has no list in which each position has an option
+      * that some key holds there, a literal slot counting as one: then no
+      * run of p has an index key in P(v), whatever its literals.
       */
-    private def hypothesis(subs: Seq[(Int, Int, Int)]): Vector[Pat] = {
-      val kept = subs.iterator.map(lists(_).map(keyable).filter(_ != null)).takeWhile(_.nonEmpty).toArray
-      if (kept.length < subs.length) Vector.empty else Enumerate.hypothesisOf(kept, in, cfg.tau)
+    private def keyless(p: Int): Boolean = {
+      if (p >= keylessAt.length) keylessAt = java.util.Arrays.copyOf(keylessAt, 2 * p + 2)
+      if (keylessAt(p) == 0) {
+        val plan = shapes(p)
+        def isSlot(l: Int, d: Int) = plan.slots.indices.exists(i => i % 3 == 0 && plan.slots(i) == l && plan.slots(i + 1) == d)
+        val alive = plan.lists.indices.exists { l =>
+          val list = plan.lists(l)
+          list.indices.forall(d => list(d).exists(admits(_, list.length, d)) || isSlot(l, d))
+        }
+        keylessAt(p) = if (alive) 1 else 2
+      }
+      keylessAt(p) == 2
+    }
+
+    /** Each value's first token in span [s, e], or None when a value has
+      * only gaps in it.
+      */
+    private def span(s: Int, e: Int): Option[Array[Int]] = {
+      val as = Array.tabulate(vals.length)(i => first(i)(s))
+      if (vals.indices.exists(i => as(i) > last(i)(e))) None else Some(as)
+    }
+
+    /** The H(C) of span [s, e]'s sub-values (from their first tokens
+      * `as`), as `Enumerate.hypothesis` counts it, less patterns that
+      * cannot be index keys; empty when no key is in some sub-value's P(v).
+      * The sub-values are grouped at H(C)'s threshold (`Enumerate.group`;
+      * equal sub-values fall into one group), and each group's lists are
+      * filtered and walked once.
+      */
+    private def hypothesis(e: Int, as: Array[Int]): Vector[Pat] = {
+      val plans = new Array[Int](vals.length)
+      for (i <- vals.indices) {
+        plans(i) = planId(i, as(i), last(i)(e))
+        if (keyless(plans(i))) return Vector.empty
+      }
+      val g = Enumerate.group(vals, as, Array.fill(vals.length)(1), plans, shapes, vals.length, cfg.tau)
+      val kept = g.lists.iterator.map(_.map(keyable).filter(_ != null)).takeWhile(_.nonEmpty).toArray
+      if (kept.length < g.lists.length) Vector.empty else Enumerate.hypothesisOf(g.ms, kept, vals.length, in, cfg.tau)
     }
 
     /** [[hypothesis]] of span [s, e]; empty at a gap. */
     private[core] def hypothesis(s: Int, e: Int): Vector[Pat] =
-      span(s, e).fold(Vector.empty[Pat])(hypothesis)
+      span(s, e).fold(Vector.empty[Pat])(hypothesis(e, _))
 
     /** FMDV on the sub-values of span [s, e], as `Fmdv.solve` would choose
       * on them, behind the gap, τ and literal-delimiter checks.
       */
-    def fmdv(s: Int, e: Int): Option[Solution] = span(s, e).flatMap { subs =>
+    def fmdv(s: Int, e: Int): Option[Solution] = span(s, e).flatMap { as =>
       // The segment is solvable as one column when its values fit under the
       // τ budget at either granularity (alnum-merged runs can compress an
       // aligned span far below its profile width — e.g. GUIDs, MACs). A
@@ -146,11 +184,11 @@ object FmdvV {
       // construction (FPR 0). Real lakes index these from symbol-only
       // columns (null markers "-", separators); we shortcut the lookup so
       // the synthetic corpus does not need one column per delimiter string.
-      val (i, a, b) = subs.head
-      if (subs.length == 1 && (s to e).forall(j => aligned.profile(j).cls == Tokens.Cls.Symbol) &&
-          lists(subs.head).nonEmpty)
-        Some(Solution(Pat(Vector(Pattern.ConstT(vals(i).text(a, b)))), 0.0, Long.MaxValue))
-      else Fmdv.best(hypothesis(subs), index, cfg)
+      def text(i: Int) = vals(i).text(as(i), last(i)(e))
+      if ((s to e).forall(j => aligned.profile(j).cls == Tokens.Cls.Symbol) &&
+          shapes(planId(0, as(0), last(0)(e))).lists.nonEmpty && vals.indices.forall(i => text(i) == text(0)))
+        Some(Solution(Pat(Vector(Pattern.ConstT(text(0)))), 0.0, Long.MaxValue))
+      else Fmdv.best(hypothesis(e, as), index, cfg)
     }
   }
 

@@ -46,29 +46,81 @@ object Tokens {
     else if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')) Cls.Letter
     else Cls.Symbol
 
+  /** The end of the fine token that starts at offset i of non-empty s. */
+  private def tokenEnd(s: String, i: Int): Int = {
+    val n = s.length
+    val c = s.codePointAt(i)
+    val cl = clsOf(c)
+    cl match {
+      case Cls.Symbol =>
+        // grow only over the identical symbol code point
+        val w = Character.charCount(c)
+        var j = i + w
+        while (j < n && s.codePointAt(j) == c) j += w
+        j
+      case _ =>
+        // digits and letters are ASCII, one char each
+        var j = i + 1
+        while (j < n && clsOf(s.charAt(j)) == cl) j += 1
+        j
+    }
+  }
+
   /** Fine-grained tokenization into digit / letter / symbol runs. */
   def tokenize(s: String): Vector[Tok] = {
     if (s == null || s.isEmpty) return Vector.empty
     val out = Vector.newBuilder[Tok]
     var i = 0
-    val n = s.length
-    while (i < n) {
-      val c = s.codePointAt(i)
-      val cl = clsOf(c)
-      val w = Character.charCount(c)
-      var j = i + w
-      cl match {
-        case Cls.Symbol =>
-          // grow only over the identical symbol code point
-          while (j < n && s.codePointAt(j) == c) j += w
-        case _ =>
-          // digits and letters are ASCII, one char each
-          while (j < n && clsOf(s.charAt(j)) == cl) j += 1
-      }
-      out += Tok(cl, s.substring(i, j))
+    while (i < s.length) {
+      val j = tokenEnd(s, i)
+      out += Tok(clsOf(s.codePointAt(i)), s.substring(i, j))
       i = j
     }
     out.result()
+  }
+
+  /** Fine tokenization without a `Tok` per token: the offsets of the
+    * tokens of non-empty s, with s.length appended, so token k is
+    * s[from(k), from(k + 1)).
+    */
+  private[core] def offsets(s: String): Array[Int] = {
+    val from = Array.newBuilder[Int]
+    var i = 0
+    while (i < s.length) { from += i; i = tokenEnd(s, i) }
+    from += s.length
+    from.result()
+  }
+
+  /** The shape of fine token s[i, j): its class and length, its letter case
+    * for a letter run and its text for a symbol run, packed in a `Long`
+    * ≥ 0 (length in bits 0–30, a symbol's code point in bits 31–51, a tag
+    * in bits 52–54: digit 0, upper 1, lower 2, mixed case 3, symbol 4).
+    * Two tokens have equal shapes exactly when their option lists at every
+    * pruning level differ at most in a digit or letter literal.
+    */
+  private[core] def shapeCode(s: String, i: Int, j: Int): Long = {
+    val c = s.codePointAt(i)
+    clsOf(c) match {
+      case Cls.Digit => (j - i).toLong
+      case Cls.Symbol => (SymbolTag << 52) | (c.toLong << 31) | (j - i)
+      case _ =>
+        var (upper, lower) = (true, true)
+        var k = i
+        while (k < j) { if (s.charAt(k) < 'a') lower = false else upper = false; k += 1 }
+        val tag = if (upper) 1L else if (lower) 2L else 3L
+        (tag << 52) | (j - i)
+    }
+  }
+
+  private val SymbolTag = 4L
+
+  private[core] def isSymbolShape(code: Long): Boolean = (code >>> 52) == SymbolTag
+
+  /** The class of a token of shape code `code`. */
+  private[core] def clsOfShape(code: Long): Cls = (code >>> 52) match {
+    case 0L => Cls.Digit
+    case SymbolTag => Cls.Symbol
+    case _ => Cls.Letter
   }
 
   /** Merged tokenization: adjacent Digit/Letter runs become one Alnum token.
@@ -116,7 +168,18 @@ object Tokens {
 
   /** Effective token count: the smaller of the fine and merged counts — what
     * decides whether a value can be enumerated under a τ budget. Merging only
-    * joins adjacent runs, so the merged count is never the larger one.
+    * joins adjacent runs, so the merged count is never the larger one. One
+    * scan by code point: each symbol run and each maximal digit/letter
+    * stretch is one merged token.
     */
-  def effectiveTokenCount(s: String): Int = tokenizeMerged(s).length
+  def effectiveTokenCount(s: String): Int = {
+    if (s == null) return 0
+    var (n, i) = (0, 0)
+    while (i < s.length) {
+      if (clsOf(s.codePointAt(i)) == Cls.Symbol) i = tokenEnd(s, i)
+      else while (i < s.length && clsOf(s.charAt(i)) != Cls.Symbol) i += 1
+      n += 1
+    }
+    n
+  }
 }

@@ -118,6 +118,13 @@ class EnumerateOracleSpec extends SparkSpec with PropHelpers {
     for (vs <- handBuiltColumns; (tau, cap) <- settings) checkFrequent(vs, tau, cap)
   }
 
+  test("oracle: shape groups count exactly where a literal is kept or stripped") {
+    for (vs <- shapeColumns) {
+      checkColumn(vs)
+      for ((tau, cap) <- settings) checkFrequent(vs, tau, cap)
+    }
+  }
+
   test("oracle: every run of a value's tokens has the option lists of its text as a whole value") {
     val generated = Iterator.continually(genColumn.sample).flatten.take(100).flatten ++
       Iterator.continually(FmdvVSpec.genColumn.sample).flatten.take(30).flatten
@@ -199,6 +206,29 @@ object EnumerateOracleSpec {
     Vector("9:07", "9:07", "9:07", "10:15", "x", "x", null, "", "10:15", "x"),
     Vector("ab-12"),
     Vector("ab-12", "ab-12"))
+
+  /** Columns where grouping values by token shape can go wrong; every
+    * threshold k runs on each, so each shared literal is met at k − 1, k
+    * and k + 1 copies.
+    */
+  val shapeColumns: Vector[Vector[String]] = Vector(
+    // one shape; "12" at (3, 0) in 4 values (one seen twice), "ab" at
+    // (3, 2) in 3, "cd" in 2
+    Vector("12-ab", "12-cd", "12-ab", "34-ab", "12-ef", "56-cd"),
+    // "12" in "12-a1" at its fine (4, 0) and merged (3, 0): frequent at the
+    // merged key (three values of fine length 3 share it) but not the fine one
+    Vector("12-a1", "12-b2", "12-ab", "12-cd", "12-ef", "34-c3"),
+    // the reverse: frequent at the fine (4, 0), which "12:-x" values share,
+    // but not at the merged (3, 0)
+    Vector("12-a1", "12:-x", "12:-y", "12:-z", "34-b2", "12:-w"),
+    // different shapes (case, symbol, digit length) sharing (3, 0, "12")
+    // and (3, 2, "ab")
+    Vector("12-ab", "12-AB", "12.ab", "12-Ab", "123-ab", "12/ab", "12-ab"),
+    // Ab / AB / ab of one length, beside one another's literals
+    Vector("Ab-1", "AB-1", "ab-1", "Ab-2", "AB-2", "ab-1", "Ab-1"),
+    // non-ASCII symbols, surrogate pairs, repeated pairs and lone surrogates
+    Vector("é1😀", "é2😀", "é1😀", "é1😀x", "😀😀1", "😀1", "😀😀2"),
+    Vector("\uD83D1", "\uD83D2", "\uDE001", "\uD83D\uD83D\uDE001", "中-12", "中-12", "中-13"))
 
   /** Columns of one value shape (so H(C) is often non-empty) or of mixed
     * shapes, with repeats, nulls and empty strings.

@@ -111,6 +111,19 @@ class FmdvVSpec extends SparkSpec {
     assert(bad.size == 0, s"cases differ, e.g. ${bad.take(2)}")
   }
 
+  test("the segment table chooses as the per-span oracle where a span's sub-values differ in one literal") {
+    // one shape per span, one literal apart ("12" / "13", "ab" / "cd"),
+    // with the differing token behind a gap in some values
+    val cols = Seq(
+      Vector("12-ab-34", "13-ab-34", "12-ab-35", "12-34"),
+      Vector("x-12-ab", "x-12-cd", "x-ab", "x-13-ab", "y-12-ab"),
+      Vector("ab12-x9", "ab13-x9", "ab12-x", "ab12-y9"))
+    for (vs <- cols; cfg <- settings; idx <- Seq(index, spanIndex(vs, cfg))) {
+      val (got, want) = (FmdvV.solve(vs, idx, cfg), FmdvVOracle.solve(vs, idx, cfg))
+      assert(got == want && got.map(_.pattern) == want.map(_.pattern), s"$vs at tau=${cfg.tau} cap=${cfg.cap}")
+    }
+  }
+
   test("every token of every index key is in the vocabulary at its slot") {
     for (key <- index.entries.keysIterator) {
       val toks = Pattern.parse(key).toks

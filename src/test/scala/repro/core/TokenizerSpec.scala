@@ -1,9 +1,10 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{PropHelpers, SparkSpec}
 import repro.core.Tokens._
 
-class TokenizerSpec extends SparkSpec {
+class TokenizerSpec extends SparkSpec with PropHelpers {
 
   test("empty and null-ish input") {
     assert(tokenize("") == Vector.empty)
@@ -124,5 +125,18 @@ class TokenizerSpec extends SparkSpec {
   test("merged reconstruction also restores the value") {
     for (v <- Seq("a1b2-c3", "ORD-00012345", "/m/0abc12"))
       assert(tokenizeMerged(v).map(_.text).mkString == v)
+  }
+
+  test("property: effectiveTokenCount is the merged token count on any string") {
+    // ASCII runs, repeated and mixed symbols, non-ASCII letters, control
+    // characters, and lone and paired surrogates (a high one before a pair
+    // that opens with the same high surrogate, too)
+    val (high, low) = ('\uD83D', '\uDE00')
+    val piece = Gen.oneOf(Seq("a", "Zq", "7", "09", "-", "--", ".", " ", "é", "ßЖ", "中", "\u0000", "\t", "\u007f",
+      high.toString, low.toString, s"$high$low", s"$high$high$low", s"$low$high", "😀😀"))
+    forSamples(Gen.choose(0, 12).flatMap(Gen.listOfN(_, piece)).map(_.mkString), 2000) { s =>
+      assert(effectiveTokenCount(s) == tokenizeMerged(s).length, s"'$s'")
+    }
+    assert(effectiveTokenCount(null) == 0)
   }
 }
