@@ -2,6 +2,7 @@ package repro.core
 
 import repro.core.Pattern._
 import repro.core.Tokens.{Tok, Cls}
+import repro.index.PatternIndex
 
 /** Pattern enumeration (§2.1, Algorithm 1).
   *
@@ -21,10 +22,11 @@ import repro.core.Tokens.{Tok, Cls}
   * Every entry point runs on one [[Counter]]: the cross-products are walked
   * down a prefix trie of interned token ids, and a `Pat` is built only for
   * the trie nodes whose count reaches the caller's threshold (for H(C),
-  * every distinct value). Before any walk, the values (or FMDV-V's runs of
-  * tokens) are grouped by token shape ([[group]]): values whose lists can
-  * differ only in literals that cannot reach the threshold are counted by
-  * one walk of one set of lists, with their summed multiplicity.
+  * every distinct value). Before any walk, one support count ([[groups]])
+  * drops the options that no pattern reaching the threshold can hold, and
+  * groups the values (or FMDV-V's runs of tokens) whose remaining lists
+  * are equal, so that one walk of one set of lists, with their summed
+  * multiplicity, counts them.
   */
 object Enumerate {
 
@@ -215,24 +217,15 @@ object Enumerate {
     * token offset in the run) triples.
     */
   private[core] final class Plan(val lists: OptionIds, val slots: Array[Int]) {
-    /** [[lists]] with slot i's literal replaced by `lits(i)`, or dropped
-      * where `lits(i)` is −1.
-      */
-    def withLiterals(lits: Array[Int]): OptionIds = {
-      var out = lists
-      var i = 0
-      while (i < lits.length) {
-        val (l, d) = (slots(3 * i), slots(3 * i + 1))
-        val o = lists(l)(d)
-        if (lits(i) != o(0)) {
-          if (out eq lists) out = lists.map(_.clone)
-          out(l)(d) = if (lits(i) < 0) java.util.Arrays.copyOfRange(o, 1, o.length) else { val c = o.clone; c(0) = lits(i); c }
-        }
-        i += 1
-      }
-      out
-    }
+    // set on first use by the plan's [[Shapes]]: each option's key id (−1
+    // where the vocabulary does not admit it, [[Slot]] at a slot's literal),
+    // the distinct admitted keys but the slots', and [[Shapes.keyless]]
+    private[core] var ids: OptionIds = _
+    private[core] var keys: Array[Int] = _
+    private[core] var keyless: Int = 0 // 1 + (1 when keyless), 0 until known
   }
+
+  private final val Slot = -2 // the key id of a slot's literal in `Plan.ids`
 
   /** An open-addressing map from `Long` keys (≥ 0) to dense ids 0, 1, 2, …
     * handed out in insertion order, so callers keep per-key values in plain
@@ -382,111 +375,25 @@ object Enumerate {
     }
   }
 
-  /** Bound on τ for the pre-filter: a list's length and position must fit
-    * in the 31 bits above a token id in an [[OptionCounts]] key.
+  /** The plans and support keys that the counts ([[groups]]) of one column,
+    * or of every cell of one FMDV-V solve, share. Plans by token shape: the
+    * node of a trie of interned shapes that a run's shapes end at holds the
+    * [[Plan]] of the first run that reached it. Support keys (list length L,
+    * position d, token id t) get dense ids, a plan's when it is counted, and
+    * `index` (null for none) admits only those that some index key has
+    * (`PatternIndex.slotsOf`, once per token id). Support is kept per key id,
+    * stamped with its count, so a count costs nothing for keys it leaves.
     */
-  private val MaxKeyedLength = 1 << 15
-
-  /** The exact option pre-filter of [[frequentPatterns]] (Apriori's
-    * anti-monotone support bound, per list length and position). Counts,
-    * for every key (list length L, position d, token id t), the values that
-    * have t among their options at d of some option list of length L —
-    * each value once per key, with its multiplicity. A pattern of length L
-    * counted `minCount` times needs each of its tokens to reach `minCount`
-    * at its (L, d), so dropping the options below that, and the lists left
-    * with an empty position, changes no survivor, no count and no
-    * first-reached order.
-    */
-  private final class OptionCounts {
-    private val ids = new IdMap
-    private var counts = new Array[Int](64)
-    /** 1 + index of the last value counted under the key. */
-    private var lastValue = new Array[Int](64)
-
-    private def key(len: Int, d: Int, tok: Int): Long =
-      (len.toLong << 48) | (d.toLong << 32) | tok
-
-    /** Counts value number `v` (from 0), of multiplicity `m`. True when
-      * one of its lists has, at every position, an option counted at least
-      * `need` times so far; otherwise, with `need` = minCount − the
-      * multiplicity still to be counted, the value is in no frequent
-      * pattern.
-      */
-    def add(lists: OptionIds, m: Int, v: Int, need: Int): Boolean = {
-      var alive = false
-      var l = 0
-      while (l < lists.length) {
-        val opts = lists(l)
-        var full = true
-        var d = 0
-        while (d < opts.length) {
-          val o = opts(d)
-          var reached = false
-          var j = 0
-          while (j < o.length) {
-            val i = ids.getOrAdd(key(opts.length, d, o(j)))
-            if (i == counts.length) {
-              counts = java.util.Arrays.copyOf(counts, 2 * i)
-              lastValue = java.util.Arrays.copyOf(lastValue, 2 * i)
-            }
-            if (lastValue(i) != v + 1) { lastValue(i) = v + 1; counts(i) += m }
-            reached ||= counts(i) >= need
-            j += 1
-          }
-          full &&= reached
-          d += 1
-        }
-        alive ||= full
-        l += 1
-      }
-      alive
-    }
-
-    private def countOf(len: Int, d: Int, tok: Int): Int = {
-      val i = ids.get(key(len, d, tok))
-      if (i < 0) 0 else counts(i)
-    }
-
-    /** `lists` with the options counted fewer than `minCount` times
-      * dropped, and without the lists left with an empty position.
-      */
-    def frequent(lists: OptionIds, minCount: Int): OptionIds = {
-      val out = Array.newBuilder[Array[Array[Int]]]
-      var l = 0
-      while (l < lists.length) {
-        val opts = lists(l)
-        val kept = new Array[Array[Int]](opts.length)
-        var empty = false
-        var d = 0
-        while (!empty && d < opts.length) {
-          val o = opts(d)
-          val keep = new Array[Int](o.length)
-          var n = 0
-          var j = 0
-          while (j < o.length) {
-            if (countOf(opts.length, d, o(j)) >= minCount) { keep(n) = o(j); n += 1 }
-            j += 1
-          }
-          kept(d) = if (n == o.length) o else java.util.Arrays.copyOf(keep, n)
-          empty = n == 0
-          d += 1
-        }
-        if (!empty) out += kept
-        l += 1
-      }
-      out.result()
-    }
-  }
-
-  /** The [[Plan]]s of runs by token shape: a trie of interned shapes, in
-    * which the node that a run's shapes end at holds the plan of the first
-    * run that reached it. Runs of equal shapes have equal lists but for
-    * their literal slots, so they share the plan.
-    */
-  private[core] final class Shapes(tau: Int, cap: Int) {
+  private[core] final class Shapes(tau: Int, cap: Int, in: Interner, index: PatternIndex) {
     private val trie = new IdMap
     private var planAt = new Array[Int](64) // 1 + the plan of a node, 0 for none
     private val plans = collection.mutable.ArrayBuffer.empty[Plan]
+    private val keyIds = new IdMap
+    private var support = new Array[Int](64)
+    private var stamp = new Array[Int](64) // the count that support(k) belongs to
+    private var owner = new Array[Int](64) // 1 + the last plan that took key k
+    private var counting = 0
+    private val vocabulary = collection.mutable.ArrayBuffer.empty[collection.BitSet]
 
     /** The node of a run's shapes extended by token k of `vo`, from the
       * node of the run before it (0 for the empty run).
@@ -509,149 +416,235 @@ object Enumerate {
     }
 
     def apply(id: Int): Plan = plans(id)
+
+    /** The id of key (len, d, t); −1 when the vocabulary does not admit it, or when
+      * it is new and not `added`. (len, d) is packed as its `PatternIndex.slot`,
+      * unique for len < 92,682; past that, a shared id only adds supports.
+      */
+    def keyId(len: Int, d: Int, t: Int, added: Boolean = true): Int = {
+      if (!admits(t, len, d)) return -1
+      val key = ((len.toLong * (len - 1) / 2 + d) << 32) | t
+      val k = if (added) keyIds.getOrAdd(key) else keyIds.get(key)
+      if (k == support.length) {
+        support = java.util.Arrays.copyOf(support, 2 * k)
+        stamp = java.util.Arrays.copyOf(stamp, 2 * k)
+        owner = java.util.Arrays.copyOf(owner, 2 * k)
+      }
+      k
+    }
+
+    private def admits(t: Int, len: Int, d: Int): Boolean = index == null || {
+      while (vocabulary.size <= t) vocabulary += index.slotsOf(in.tokenOf(vocabulary.size))
+      vocabulary(t).contains(PatternIndex.slot(len, d))
+    }
+
+    /** Plan p, with its key ids built on first use. */
+    private def keyed(p: Int): Plan = {
+      val plan = plans(p)
+      if (plan.ids == null) {
+        val keys = Array.newBuilder[Int]
+        var s = 0 // the next slot
+        plan.ids = Array.tabulate(plan.lists.length) { l =>
+          val list = plan.lists(l)
+          Array.tabulate(list.length) { d =>
+            val slot = s < plan.slots.length && plan.slots(s) == l && plan.slots(s + 1) == d
+            if (slot) s += 3
+            val ids = new Array[Int](list(d).length)
+            var j = 0
+            while (j < ids.length) {
+              ids(j) = if (slot && j == 0) Slot else keyId(list.length, d, list(d)(j))
+              // once per plan: the merged list and the skeleton share `<alnum>` keys at one (L, d)
+              if (ids(j) >= 0 && owner(ids(j)) != p + 1) { owner(ids(j)) = p + 1; keys += ids(j) }
+              j += 1
+            }
+            ids
+          }
+        }
+        plan.keys = keys.result()
+      }
+      plan
+    }
+
+    /** True when no run of plan p can have an index key in P(v): no list
+      * has, at every position, a slot or an admitted option.
+      */
+    def keyless(p: Int): Boolean = plans(p).lists.isEmpty || index != null && {
+      val plan = plans(p)
+      if (plan.keyless == 0) {
+        def slot(l: Int, d: Int) = plan.slots.indices.exists(i => i % 3 == 0 && plan.slots(i) == l && plan.slots(i + 1) == d)
+        val live = plan.lists.indices.exists { l =>
+          val list = plan.lists(l)
+          list.indices.forall(d => slot(l, d) || list(d).exists(admits(_, list.length, d)))
+        }
+        plan.keyless = if (live) 1 else 2
+      }
+      plan.keyless == 2
+    }
+
+    /** Starts a count, in which every key's support is 0. */
+    def begin(): Unit = counting += 1
+
+    def supportOf(k: Int): Int = if (stamp(k) == counting) support(k) else 0
+
+    def add(k: Int, m: Int): Unit = { support(k) = supportOf(k) + m; stamp(k) = counting }
+
+    /** Adds `m` to the support of each key of plan p but its slots'. */
+    def addPlan(p: Int, m: Int): Unit = {
+      val ks = keyed(p).keys
+      var i = 0
+      while (i < ks.length) { add(ks(i), m); i += 1 }
+    }
+
+    /** Plan p's lists for one group: slot i's literal is `lits(from + i)`, dropped
+      * at −1; any other option stays when its key is admitted and its support
+      * is at least `need`; a list left with an empty position is dropped.
+      */
+    def lists(p: Int, lits: Array[Int], from: Int, need: Int): OptionIds = {
+      val plan = keyed(p)
+      val out = Array.newBuilder[Array[Array[Int]]]
+      var s = from
+      var l = 0
+      while (l < plan.lists.length) {
+        val kept = new Array[Array[Int]](plan.lists(l).length)
+        var empty = false
+        var d = 0
+        while (d < kept.length) {
+          val o = plan.lists(l)(d)
+          val ids = plan.ids(l)(d)
+          val keep = new Array[Int](o.length)
+          var n = 0
+          var j = 0
+          while (j < o.length) {
+            if (ids(j) == Slot) { if (lits(s) >= 0) { keep(n) = lits(s); n += 1 }; s += 1 }
+            else if (ids(j) >= 0 && supportOf(ids(j)) >= need) { keep(n) = o(j); n += 1 }
+            j += 1
+          }
+          kept(d) = if (n == o.length && ids(0) != Slot) o else java.util.Arrays.copyOf(keep, n)
+          empty ||= n == 0
+          d += 1
+        }
+        if (!empty) out += kept
+        l += 1
+      }
+      out.result()
+    }
   }
 
   /** Runs grouped for counting: `of(r)` is run r's group, and group g has
-    * option lists `lists(g)` and the summed multiplicity `ms(g)` of its
-    * runs; groups are in the order of their first runs.
+    * lists `lists(g)` and its runs' summed multiplicity `ms(g)`, in the
+    * order of their first runs.
     */
   private[core] final class Groups(val of: Array[Int], val lists: Array[OptionIds], val ms: Array[Int])
 
-  /** Groups the runs r (the fine tokens from `as(r)` of `vos(r)` that plan
-    * `planIds(r)` of `shapes` covers, of multiplicity `ms(r)`) whose option
-    * lists are equal once the literals that cannot reach `minCount` are
-    * dropped, so that one walk of a group's lists, with its summed
-    * multiplicity, counts all its runs.
-    *
-    * A slot's literal joins the group key when its (list length,
-    * position, literal) key is counted, over all runs with multiplicity
-    * and each run once, at least `minCount` times; a key is counted only
-    * if, where it is first met, the runs left can still bring it there.
-    * Otherwise no pattern counted `minCount` times holds the literal
-    * there, and the group's lists drop it, after the pruning level was
-    * chosen on the unfiltered product. Without the option pre-filter
-    * (`minCount` ≤ 1, or τ too wide for its keys) every literal joins the
-    * key. So a group's runs have equal lists once the pre-filter has run,
-    * and a pattern's first reaching run is its group's first run: counts,
-    * survivors and first-reached order are unchanged. At H(C)'s threshold
-    * (`minCount` = the total multiplicity) a kept literal is at its slot
-    * in every run, so each plan is one group. Keys and groups are tries
-    * of `Int` ids in [[IdMap]]s; no string is built for them.
+  /** The support count of P(v), for a column's distinct values and an
+    * FMDV-V span's sub-values alike (DESIGN §8): the runs r (the fine tokens
+    * from `as(r)` of `vos(r)`, under plan `planOf(r)` of `shapes`, of
+    * multiplicity `ms(r)`) in groups that one walk each counts, less every
+    * option that no pattern counted `minCount` times can hold. A key (list
+    * length L, position d, token t) has the support of the runs that have t
+    * at d of some list of length L, each once (Apriori's anti-monotone
+    * bound). A plan's options but its slot literals are alike in all its
+    * runs, so they count once, with the plan's summed multiplicity; each run
+    * adds its slot literals, which equal no other key of its plan (a digit or
+    * letter literal is an option only at a slot). An option or literal stays
+    * when the vocabulary admits it and its support reaches `minCount`
+    * (always, at `minCount` ≤ 1). A group is keyed by (plan, each slot's kept
+    * literal), or by the plan alone at H(C)'s threshold, where a kept literal
+    * is at its slot in every run. A run is dead when its plan is
+    * [[Shapes.keyless]] or its group keeps no list; once dead runs hold more
+    * than the total − `minCount`, no pattern survives, and the count returns
+    * no lists (at a keyless plan, before asking for the later runs' plans).
     */
-  private[core] def group(vos: Array[ValueOptions], as: Array[Int], ms: Array[Int], planIds: Array[Int],
-                          shapes: Shapes, minCount: Int, tau: Int): Groups = {
+  private[core] def groups(vos: Array[ValueOptions], as: Array[Int], ms: Array[Int], planOf: Int => Int,
+                           shapes: Shapes, minCount: Int): Groups = {
     val n = vos.length
-    val strip = minCount > 1 && tau < MaxKeyedLength
-    // each run's literals as slot-ordered ids, and the count of each
-    // (list length, position, literal) key that can still reach minCount
-    // when first met (-1 for the others)
-    var lits = new Array[Int](64)
-    var keyOf = new Array[Int](64)
-    val litKeys = new IdMap(4)
-    var counts = new Array[Int](64)
-    var rest = ms.sum
-    val total = rest
+    var total = 0
     var r = 0
-    var j = 0
+    while (r < n) { total += ms(r); r += 1 }
+    val spare = total - minCount
+    def none = new Groups(new Array[Int](n), Array(new OptionIds(0)), Array(total))
+    // each run's plan and slot literals (run r's from slots(r) until slots(r + 1)),
+    // and the groups' trie over the plan and each slot's kept literal, whose
+    // first nodes are the live runs' plans (of multiplicity `mass`), in order
+    shapes.begin()
+    val planIds = new Array[Int](n)
+    val slots = new Array[Int](n + 1)
+    val (litsB, keysB) = (Array.newBuilder[Int], Array.newBuilder[Int])
+    val trie = new IdMap(4)
+    val order = new Array[Int](n)
+    val mass = new Array[Int](n)
+    var dead = 0
+    var left = total // the multiplicity of runs r, r + 1, …
+    r = 0
     while (r < n) {
+      planIds(r) = planOf(r)
       val p = shapes(planIds(r))
+      if (shapes.keyless(planIds(r))) { dead += ms(r); if (dead > spare) return none }
+      else { val q = trie.getOrAdd(planIds(r)); order(q) = planIds(r); mass(q) += ms(r) }
+      slots(r + 1) = slots(r) + p.slots.length / 3
       var i = 0
       while (i < p.slots.length) {
-        if (j == lits.length) { lits = java.util.Arrays.copyOf(lits, 2 * j); keyOf = java.util.Arrays.copyOf(keyOf, 2 * j) }
-        lits(j) = vos(r).literal(as(r) + p.slots(i + 2))
-        if (strip) {
-          val key = (p.lists(p.slots(i)).length.toLong << 48) | (p.slots(i + 1).toLong << 32) | lits(j)
-          var id = litKeys.get(key)
-          if (id < 0 && rest >= minCount) {
-            id = litKeys.getOrAdd(key)
-            if (id == counts.length) counts = java.util.Arrays.copyOf(counts, 2 * id)
-          }
-          if (id >= 0) counts(id) += ms(r)
-          keyOf(j) = id
-        }
-        i += 3; j += 1
+        val lit = vos(r).literal(as(r) + p.slots(i + 2))
+        // a literal key first met where the runs left cannot bring it to minCount gets no id
+        val k = shapes.keyId(p.lists(p.slots(i)).length, p.slots(i + 1), lit, left >= minCount)
+        if (k >= 0) shapes.add(k, ms(r))
+        litsB += lit; keysB += k
+        i += 3
       }
-      rest -= ms(r)
+      left -= ms(r)
       r += 1
     }
-    // the runs' groups: a trie over the plan and each slot's kept literal,
-    // or the plan alone at H(C)'s threshold
-    val trie = new IdMap(4)
+    val (lits, keys) = (litsB.result(), keysB.result())
+    var q = 0
+    while (q < trie.size) { shapes.addPlan(order(q), mass(q)); q += 1 }
+    val need = if (minCount > 1) minCount else Int.MinValue
+    // the groups: keyed by the plan alone at H(C)'s threshold
+    val byLiteral = minCount <= 1 || minCount < total
     var groupAt = new Array[Int](64) // 1 + the group of a trie node, 0 for none
     val of = new Array[Int](n)
     val lists = collection.mutable.ArrayBuffer.empty[OptionIds]
     val gms = collection.mutable.ArrayBuffer.empty[Int]
     r = 0
-    j = 0
     while (r < n) {
-      val p = shapes(planIds(r))
-      val first = j
       var node = trie.getOrAdd(planIds(r)) + 1
-      while (j < first + p.slots.length / 3) {
-        if (strip && (keyOf(j) < 0 || counts(keyOf(j)) < minCount)) lits(j) = -1
-        if (!strip || minCount < total) node = trie.getOrAdd((node.toLong << 32) | (lits(j) + 1)) + 1
+      var j = slots(r)
+      while (j < slots(r + 1)) {
+        if (keys(j) < 0 || shapes.supportOf(keys(j)) < need) lits(j) = -1
+        if (byLiteral) node = trie.getOrAdd((node.toLong << 32) | (lits(j) + 1)) + 1
         j += 1
       }
       if (node >= groupAt.length) groupAt = java.util.Arrays.copyOf(groupAt, 2 * node)
       if (groupAt(node) == 0) {
-        lists += p.withLiterals(java.util.Arrays.copyOfRange(lits, first, j)); gms += 0; groupAt(node) = lists.length
+        lists += shapes.lists(planIds(r), lits, slots(r), need); gms += 0; groupAt(node) = lists.length
       }
       of(r) = groupAt(node) - 1
       gms(of(r)) += ms(r)
+      if (lists(of(r)).isEmpty && !shapes.keyless(planIds(r))) { dead += ms(r); if (dead > spare) return none }
       r += 1
     }
     new Groups(of, lists.toArray, gms.toArray)
   }
 
-  /** The interned option lists of values of multiplicities `ms`, value i's
-    * from `listsOf(i)`; for `minCount > 1`, through the exact
-    * [[OptionCounts]] pre-filter. Values in no frequent pattern cannot
-    * count toward one, so once they hold more than `total − minCount` of
-    * the multiplicity no pattern is frequent: the pre-count stops there,
-    * without asking for the rest, and every value's lists are empty.
+  /** The [[groups]] of a column's distinct non-empty values, in first-seen
+    * order, with their multiplicities.
     */
-  private def frequentLists(ms: Array[Int], minCount: Int, tau: Int)
-                           (listsOf: Int => OptionIds): Array[OptionIds] =
-    if (minCount <= 1 || tau >= MaxKeyedLength) Array.tabulate(ms.length)(listsOf)
-    else {
-      val oc = new OptionCounts
-      val lists = new Array[OptionIds](ms.length)
-      var rest = ms.sum
-      val spare = rest - minCount
-      var dead = 0
-      var i = 0
-      while (i < ms.length && dead <= spare) {
-        lists(i) = listsOf(i)
-        rest -= ms(i)
-        if (!oc.add(lists(i), ms(i), i, minCount - rest)) dead += ms(i)
-        i += 1
-      }
-      if (dead > spare) Array.fill(ms.length)(new OptionIds(0)) else lists.map(oc.frequent(_, minCount))
-    }
-
-  /** Each distinct non-empty value's group (first-seen order), and each
-    * group's multiplicity and option lists through [[frequentLists]].
-    */
-  private def columnOptions(in: Interner, values: Seq[String], minCount: Int, tau: Int,
-                            cap: Int): (Array[Int], Array[Int], Array[OptionIds]) = {
+  private def columnOptions(in: Interner, values: Seq[String], minCount: Int, tau: Int, cap: Int): Groups = {
     val mult = collection.mutable.LinkedHashMap.empty[String, Int]
     for (v <- values if v != null && v.nonEmpty) mult.update(v, mult.getOrElse(v, 0) + 1)
     val vos = mult.keysIterator.map(new ValueOptions(_, in)).toArray
-    val shapes = new Shapes(tau, cap)
-    val g = group(vos, new Array[Int](vos.length), mult.valuesIterator.toArray,
-      vos.map(vo => shapes.planId(vo, 0, vo.length - 1)), shapes, minCount, tau)
-    (g.of, g.ms, frequentLists(g.ms, minCount, tau)(g.lists(_)))
+    val shapes = new Shapes(tau, cap, in, null)
+    groups(vos, new Array[Int](vos.length), mult.valuesIterator.toArray,
+      r => shapes.planId(vos(r), 0, vos(r).length - 1), shapes, minCount)
   }
 
-  /** The patterns that the cross-products of `lists` (value i's, of
-    * multiplicity `ms(i)`) reach at least `minCount` times, with their
-    * counts, in the order the walk first reached them.
+  /** The patterns that the groups' lists, walked with the groups'
+    * multiplicities, reach at least `minCount` times, with their counts,
+    * in the order the walk first reached them.
     */
-  private def count(in: Interner, ms: Array[Int], lists: Array[OptionIds],
-                    minCount: Int): Vector[(Pat, Int)] = {
+  private[core] def count(in: Interner, g: Groups, minCount: Int): Vector[(Pat, Int)] = {
     val c = new Counter(in)
     var i = 0
-    while (i < lists.length) { c.add(lists(i), ms(i)); i += 1 }
+    while (i < g.lists.length) { c.add(g.lists(i), g.ms(i)); i += 1 }
     c.survivors(minCount)
   }
 
@@ -664,29 +657,19 @@ object Enumerate {
   def frequentPatterns(values: Seq[String], minCount: Int, tau: Int = DefaultTau,
                        cap: Int = DefaultCap): Vector[(Pat, Int)] = {
     val in = new Interner
-    val (_, ms, lists) = columnOptions(in, values, minCount, tau, cap)
-    count(in, ms, lists, minCount)
+    count(in, columnOptions(in, values, minCount, tau, cap), minCount)
   }
-
-  /** The patterns that groups of multiplicities `ms`, given as option
-    * lists interned by the caller's `in`, reach `minCount` times, through
-    * the same pre-filter and count as [[frequentPatterns]]: H(C) when
-    * `minCount` is the runs' total multiplicity.
-    */
-  private[core] def hypothesisOf(ms: Array[Int], lists: Array[OptionIds], minCount: Int, in: Interner,
-                                 tau: Int): Vector[Pat] =
-    count(in, ms, frequentLists(ms, minCount, tau)(lists(_)), minCount).map(_._1)
 
   /** The option lists that `frequentPatterns(values, minCount)` walks for
     * each distinct non-empty value in first-seen order (its group's lists,
     * list × position × option), so tests can check the grouping and the
-    * pre-filter against a direct count.
+    * support count against a direct count.
     */
   private[core] def walkedOptions(values: Seq[String], minCount: Int, tau: Int = DefaultTau,
                                   cap: Int = DefaultCap): Vector[Vector[Vector[Vector[PTok]]]] = {
     val in = new Interner
-    val (of, _, lists) = columnOptions(in, values, minCount, tau, cap)
-    of.toVector.map(g => lists(g).toVector.map(_.toVector.map(_.toVector.map(in.tokenOf))))
+    val g = columnOptions(in, values, minCount, tau, cap)
+    g.of.toVector.map(i => g.lists(i).toVector.map(_.toVector.map(_.toVector.map(in.tokenOf))))
   }
 
   /** P(v): all patterns consistent with v (fine ∪ merged granularity ∪ the

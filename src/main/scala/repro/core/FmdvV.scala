@@ -50,17 +50,14 @@ object FmdvV {
     * non-gap cells), so its option lists are those of the run in v's
     * [[Enumerate.ValueOptions]] table. All values' tables share one
     * interner, so each (value, token, pruning level) option list is
-    * interned once for every span that holds the token. A span's
-    * sub-values are grouped by run shape (`Enumerate.group`), and each
-    * group's lists are built, filtered and walked once.
-    *
-    * Before H(C) is counted, an option is dropped when no index key of its
-    * list's length holds it at its position (`PatternIndex.slotsOf`): a
-    * pattern with such a token is not a key, and every token of a key in
-    * P(v) keeps its option, so the cell's H(C) shrinks only by non-keys.
-    * That holds only because the table chooses the pruning level first, on
-    * the unfiltered product; the level chosen on the filtered product could
-    * differ, and so could P(v).
+    * interned once for every span that holds the token. Each cell counts
+    * its sub-values' support (`Enumerate.groups`) in one `Shapes` for all
+    * cells, which admits only the options that some index key holds at
+    * their (list length, position): every token of a key in P(v) is
+    * admitted, so the cell's H(C) loses only non-keys.
+    * That holds only because the pruning level is chosen first, on the
+    * unfiltered product; chosen on the filtered one, it could differ, and
+    * so could P(v).
     */
   private[core] final class Segments(vs: IndexedSeq[String], aligned: Msa.Aligned, index: PatternIndex,
                                      cfg: FmdvConfig) {
@@ -75,34 +72,8 @@ object FmdvV {
       (atPos.zip(vals).map { case (at, v) => at.scanRight(v.length)((k, next) => if (k >= 0) k else next) },
        atPos.map(at => at.scanLeft(-1)((prev, k) => if (k >= 0) k else prev).tail))
     }
-    /** slots(id): where the index's keys hold interned token id. */
-    private val slots = collection.mutable.ArrayBuffer.empty[collection.BitSet]
 
-    private def admits(id: Int, len: Int, d: Int): Boolean = {
-      while (slots.size <= id) slots += index.slotsOf(in.tokenOf(slots.size))
-      slots(id).contains(PatternIndex.slot(len, d))
-    }
-
-    /** `list` with each option that no key holds at its slot dropped, or
-      * null once a position has none left.
-      */
-    private def keyable(list: Array[Array[Int]]): Array[Array[Int]] = {
-      val len = list.length
-      val out = new Array[Array[Int]](len)
-      var d = 0
-      while (d < len) {
-        val o = list(d)
-        var kept = 0
-        var j = 0
-        while (j < o.length) { if (admits(o(j), len, d)) kept += 1; j += 1 }
-        if (kept == 0) return null
-        out(d) = if (kept == o.length) o else o.filter(admits(_, len, d))
-        d += 1
-      }
-      out
-    }
-
-    private val shapes = new Enumerate.Shapes(cfg.tau, cfg.cap)
+    private val shapes = new Enumerate.Shapes(cfg.tau, cfg.cap, in, index)
     /** nodes(i)(a)(b − a): the `shapes` node of value i's fine tokens a … b,
       * filled for every b on first use.
       */
@@ -119,27 +90,6 @@ object FmdvV {
       shapes.planId(nodes(i)(a)(b - a), v, a, b)
     }
 
-    /** 1 + (1 when [[keyless]]) for each plan id, 0 until known. */
-    private var keylessAt = new Array[Byte](64)
-
-    /** True when plan p has no list in which each position has an option
-      * that some key holds there, a literal slot counting as one: then no
-      * run of p has an index key in P(v), whatever its literals.
-      */
-    private def keyless(p: Int): Boolean = {
-      if (p >= keylessAt.length) keylessAt = java.util.Arrays.copyOf(keylessAt, 2 * p + 2)
-      if (keylessAt(p) == 0) {
-        val plan = shapes(p)
-        def isSlot(l: Int, d: Int) = plan.slots.indices.exists(i => i % 3 == 0 && plan.slots(i) == l && plan.slots(i + 1) == d)
-        val alive = plan.lists.indices.exists { l =>
-          val list = plan.lists(l)
-          list.indices.forall(d => list(d).exists(admits(_, list.length, d)) || isSlot(l, d))
-        }
-        keylessAt(p) = if (alive) 1 else 2
-      }
-      keylessAt(p) == 2
-    }
-
     /** Each value's first token in span [s, e], or None when a value has
       * only gaps in it.
       */
@@ -150,20 +100,12 @@ object FmdvV {
 
     /** The H(C) of span [s, e]'s sub-values (from their first tokens
       * `as`), as `Enumerate.hypothesis` counts it, less patterns that
-      * cannot be index keys; empty when no key is in some sub-value's P(v).
-      * The sub-values are grouped at H(C)'s threshold (`Enumerate.group`;
-      * equal sub-values fall into one group), and each group's lists are
-      * filtered and walked once.
+      * cannot be index keys; it stops at the first sub-value whose plan is
+      * keyless. Equal sub-values fall into one group.
       */
     private def hypothesis(e: Int, as: Array[Int]): Vector[Pat] = {
-      val plans = new Array[Int](vals.length)
-      for (i <- vals.indices) {
-        plans(i) = planId(i, as(i), last(i)(e))
-        if (keyless(plans(i))) return Vector.empty
-      }
-      val g = Enumerate.group(vals, as, Array.fill(vals.length)(1), plans, shapes, vals.length, cfg.tau)
-      val kept = g.lists.iterator.map(_.map(keyable).filter(_ != null)).takeWhile(_.nonEmpty).toArray
-      if (kept.length < g.lists.length) Vector.empty else Enumerate.hypothesisOf(g.ms, kept, vals.length, in, cfg.tau)
+      val g = Enumerate.groups(vals, as, Array.fill(vals.length)(1), i => planId(i, as(i), last(i)(e)), shapes, vals.length)
+      Enumerate.count(in, g, vals.length).map(_._1)
     }
 
     /** [[hypothesis]] of span [s, e]; empty at a gap. */

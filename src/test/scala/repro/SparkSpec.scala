@@ -9,8 +9,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * The tests use it to build the offline pattern indexes of the synthetic
   * lakes (`TestFixtures.indexE`, built once per JVM and shared),
   * to run `OfflineIndexer` on small corpora, and to rescan the corpus in
-  * the no-index FMDV reference. Driver heap is set via `Test / javaOptions`
-  * in build.sbt from SPARK_DRIVER_MEM.
+  * the no-index FMDV reference. The driver heap is `Test / javaOptions`'s
+  * `-Xmx` in build.sbt: SPARK_DRIVER_MEM, or half the host's memory.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -27,10 +27,10 @@ object SparkSpec {
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in test output with the heap this forked JVM really got
+    // (build.sbt's `testHeap`).
     Console.err.println(
-      s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
+      s"[SparkSpec] maxHeap=${Runtime.getRuntime.maxMemory >> 20}MiB " +
       s"master=${s.sparkContext.master} " +
       s"defaultParallelism=${s.sparkContext.defaultParallelism}"
     )

@@ -150,6 +150,8 @@ class FmdvVSpec extends SparkSpec {
           val (fullKeys, prunedKeys) = (full.map(_.key).toSet, pruned.map(_.key).toSet)
           assert(fullKeys.filter(idx.lookup(_).isDefined).subsetOf(prunedKeys), s"$sub [$s, $e]")
           assert(prunedKeys.subsetOf(fullKeys), s"$sub [$s, $e]")
+          for (p <- pruned; (t, d) <- p.toks.zipWithIndex)
+            assert(idx.slotsOf(t).contains(PatternIndex.slot(p.toks.length, d)), s"$t at $d of ${p.key}: $sub [$s, $e]")
           assert(Fmdv.best(pruned, idx, cfg) == Fmdv.best(full, idx, cfg), s"$sub [$s, $e]")
         }
       }
