@@ -64,12 +64,34 @@ object Enumerate {
 
     private val literals = new java.util.HashMap[String, Integer]
 
-    /** The id of `ConstT(text)`, without a `ConstT` once `text` was seen. */
-    def literalId(text: String): Int = {
+    /** The id of `ConstT(text)`, without a `ConstT` once `text` was seen;
+      * unless `intern`, −1 for a text not seen here.
+      */
+    def literalId(text: String, intern: Boolean): Int = {
       val id = literals.get(text)
       if (id != null) id.intValue
+      else if (!intern) -1
       else { val i = idOf(ConstT(text)); literals.put(text, i); i }
     }
+
+    private var indexIds = new Array[Int](0) // 2 + token t's index id, 0 until looked up
+    private var specs = new Array[Int](0) // token t's specificity, set with its index id
+
+    /** Token t's id in `index`'s id table, −1 when no key holds it; looked
+      * up once per token, with its specificity, so an interner serves one
+      * index.
+      */
+    def indexId(t: Int, index: PatternIndex): Int = {
+      if (t >= indexIds.length) {
+        indexIds = java.util.Arrays.copyOf(indexIds, math.max(64, 2 * t))
+        specs = java.util.Arrays.copyOf(specs, indexIds.length)
+      }
+      if (indexIds(t) == 0) { indexIds(t) = index.ids.tokenId(tokens(t)) + 2; specs(t) = tokens(t).specificity }
+      indexIds(t) - 2
+    }
+
+    /** `tokenOf(t).specificity`, once [[indexId]] has looked t up. */
+    def specificity(t: Int): Int = specs(t)
 
     /** `opts` as an array of ids. */
     def idsOf(opts: Vector[PTok]): Array[Int] = {
@@ -116,9 +138,11 @@ object Enumerate {
     /** Token k's shape (`Tokens.shapeCode`), interned. */
     def shape(k: Int): Int = shapes(k)
 
-    /** The id of token k's text as a literal; equal ids are equal tokens. */
-    def literal(k: Int): Int = {
-      if (literals(k) == 0) literals(k) = in.literalId(text(k, k)) + 1
+    /** The id of token k's text as a literal; equal ids are equal tokens.
+      * Unless `intern`, −1 when the interner has not seen the text.
+      */
+    def literal(k: Int, intern: Boolean): Int = {
+      if (literals(k) == 0) literals(k) = in.literalId(text(k, k), intern) + 1
       literals(k) - 1
     }
 
@@ -373,6 +397,52 @@ object Enumerate {
       }
       out.result()
     }
+
+    /** `Fmdv.best` of [[survivors]]`(minCount)`, chosen in `index`'s token
+      * ids: a survivor all of whose tokens are in the index is looked up by
+      * its id sequence, and a `Pat` is built for the winner alone.
+      */
+    def best(minCount: Int, index: PatternIndex, cfg: FmdvConfig): Option[Solution] = {
+      val ids = index.ids
+      var (win, at, winSpec) = (-1, 0, 0) // the least feasible entry so far, its node and specificity
+      var seq = new Array[Int](16)
+      var i = 0
+      while (i < nEnds) {
+        val n = ends(i)
+        if (count(n) >= minCount) {
+          var (len, a) = (0, n)
+          while (a != 0) { len += 1; a = parent(a) }
+          if (len > seq.length) seq = new Array[Int](2 * len)
+          // the node's tokens in index ids, last first, and its `Pat.specificity`;
+          // a token no key holds ends the walk
+          var (d, spec, missing) = (len, 0, false)
+          a = n
+          while (d > 0 && !missing) {
+            d -= 1; seq(d) = in.indexId(tokOf(a), index); missing = seq(d) < 0
+            spec += in.specificity(tokOf(a)); a = parent(a)
+          }
+          val e = if (missing) -1 else ids.entry(seq, len)
+          if (e >= 0 && ids.fpr(e) <= cfg.r && ids.cov(e) >= cfg.m && (win < 0 || before(ids, e, spec, win, winSpec))) {
+            win = e; at = n; winSpec = spec
+          }
+        }
+        i += 1
+      }
+      if (win < 0) None else Some(Solution(patOf(at), ids.fpr(win), ids.cov(win)))
+    }
+
+    /** True when entry e, of specificity se, precedes entry w, of
+      * specificity sw, in `Fmdv.best`'s order: lower fpr
+      * (`java.lang.Double.compare`, as `Ordering.Double.TotalOrdering`), then
+      * higher cov, then higher specificity, then the lesser key.
+      */
+    private def before(ids: PatternIndex.Ids, e: Int, se: Int, w: Int, sw: Int): Boolean = {
+      val c = java.lang.Double.compare(ids.fpr(e), ids.fpr(w))
+      if (c != 0) c < 0
+      else if (ids.cov(e) != ids.cov(w)) ids.cov(e) > ids.cov(w)
+      else if (se != sw) se > sw
+      else ids.key(e).compareTo(ids.key(w)) < 0
+    }
   }
 
   /** The plans and support keys that the counts ([[groups]]) of one column,
@@ -381,7 +451,7 @@ object Enumerate {
     * [[Plan]] of the first run that reached it. Support keys (list length L,
     * position d, token id t) get dense ids, a plan's when it is counted, and
     * `index` (null for none) admits only those that some index key has
-    * (`PatternIndex.slotsOf`, once per token id). Support is kept per key id,
+    * (its id table's slots, looked up once per token id). Support is kept per key id,
     * stamped with its count, so a count costs nothing for keys it leaves.
     */
   private[core] final class Shapes(tau: Int, cap: Int, in: Interner, index: PatternIndex) {
@@ -393,7 +463,6 @@ object Enumerate {
     private var stamp = new Array[Int](64) // the count that support(k) belongs to
     private var owner = new Array[Int](64) // 1 + the last plan that took key k
     private var counting = 0
-    private val vocabulary = collection.mutable.ArrayBuffer.empty[collection.BitSet]
 
     /** The node of a run's shapes extended by token k of `vo`, from the
       * node of the run before it (0 for the empty run).
@@ -434,8 +503,8 @@ object Enumerate {
     }
 
     private def admits(t: Int, len: Int, d: Int): Boolean = index == null || {
-      while (vocabulary.size <= t) vocabulary += index.slotsOf(in.tokenOf(vocabulary.size))
-      vocabulary(t).contains(PatternIndex.slot(len, d))
+      val i = in.indexId(t, index)
+      i >= 0 && index.ids.slots(i).contains(PatternIndex.slot(len, d))
     }
 
     /** Plan p, with its key ids built on first use. */
@@ -582,11 +651,13 @@ object Enumerate {
       if (shapes.keyless(planIds(r))) { dead += ms(r); if (dead > spare) return none }
       else { val q = trie.getOrAdd(planIds(r)); order(q) = planIds(r); mass(q) += ms(r) }
       slots(r + 1) = slots(r) + p.slots.length / 3
+      // a literal key first met where the runs left cannot bring it to minCount gets
+      // no id, so its text is only looked up: it has a key only if it was interned
+      val keyed = left >= minCount
       var i = 0
       while (i < p.slots.length) {
-        val lit = vos(r).literal(as(r) + p.slots(i + 2))
-        // a literal key first met where the runs left cannot bring it to minCount gets no id
-        val k = shapes.keyId(p.lists(p.slots(i)).length, p.slots(i + 1), lit, left >= minCount)
+        val lit = vos(r).literal(as(r) + p.slots(i + 2), keyed)
+        val k = if (lit < 0) -1 else shapes.keyId(p.lists(p.slots(i)).length, p.slots(i + 1), lit, keyed)
         if (k >= 0) shapes.add(k, ms(r))
         litsB += lit; keysB += k
         i += 3
@@ -641,11 +712,21 @@ object Enumerate {
     * multiplicities, reach at least `minCount` times, with their counts,
     * in the order the walk first reached them.
     */
-  private[core] def count(in: Interner, g: Groups, minCount: Int): Vector[(Pat, Int)] = {
+  private[core] def count(in: Interner, g: Groups, minCount: Int): Vector[(Pat, Int)] =
+    walk(in, g).survivors(minCount)
+
+  /** `Fmdv.best` of the patterns that [[count]] returns, without a `Pat`
+    * per candidate ([[Counter.best]]).
+    */
+  private[core] def best(in: Interner, g: Groups, minCount: Int, index: PatternIndex,
+                         cfg: FmdvConfig): Option[Solution] =
+    walk(in, g).best(minCount, index, cfg)
+
+  private def walk(in: Interner, g: Groups): Counter = {
     val c = new Counter(in)
     var i = 0
     while (i < g.lists.length) { c.add(g.lists(i), g.ms(i)); i += 1 }
-    c.survivors(minCount)
+    c
   }
 
   /** Every pattern p ∈ P(D) that at least `minCount` values v ∈ D have in
@@ -658,6 +739,15 @@ object Enumerate {
                        cap: Int = DefaultCap): Vector[(Pat, Int)] = {
     val in = new Interner
     count(in, columnOptions(in, values, minCount, tau, cap), minCount)
+  }
+
+  /** `Fmdv.best(frequentPatterns(values, minCount).map(_._1), index, cfg)`,
+    * chosen in the index's token ids.
+    */
+  private[core] def bestFrequent(values: Seq[String], minCount: Int, index: PatternIndex,
+                                 cfg: FmdvConfig): Option[Solution] = {
+    val in = new Interner
+    best(in, columnOptions(in, values, minCount, cfg.tau, cfg.cap), minCount, index, cfg)
   }
 
   /** The option lists that `frequentPatterns(values, minCount)` walks for
@@ -689,9 +779,13 @@ object Enumerate {
     * the patterns counted |distinct| times.
     */
   def hypothesis(values: Seq[String], tau: Int = DefaultTau, cap: Int = DefaultCap): Vector[Pat] = {
-    val distinct = values.filter(v => v != null && v.nonEmpty).distinct
+    val distinct = distinctValues(values)
     frequentPatterns(distinct, distinct.size, tau, cap).map(_._1)
   }
+
+  /** The distinct non-empty values, whose every-value count is H(C). */
+  private[core] def distinctValues(values: Seq[String]): Seq[String] =
+    values.filter(v => v != null && v.nonEmpty).distinct
 
   /** Per-column pattern→match-count map: for each pattern p ∈ P(D), the
     * number of values v ∈ D with p ∈ P(v). Wide values (> tau tokens)

@@ -40,12 +40,20 @@ final case class Solution(pat: Pat, fpr: Double, cov: Long)
   */
 object Fmdv {
 
-  def solve(values: Seq[String], index: PatternIndex, cfg: FmdvConfig = FmdvConfig()): Option[Solution] =
-    best(Enumerate.hypothesis(values, cfg.tau, cfg.cap), index, cfg)
+  /** [[best]] of `Enumerate.hypothesis(values)`, chosen in the index's
+    * token ids without a `Pat` per candidate (DESIGN §8).
+    */
+  def solve(values: Seq[String], index: PatternIndex, cfg: FmdvConfig = FmdvConfig()): Option[Solution] = {
+    val distinct = Enumerate.distinctValues(values)
+    Enumerate.bestFrequent(distinct, distinct.size, index, cfg)
+  }
 
   /** Select the best feasible pattern among candidates: the least of the
     * preference key (fpr, −cov, −specificity, key), i.e. the lowest FPR,
     * then the highest coverage, the most specific pattern and the least key.
+    * The solvers choose in the index's token ids (`Enumerate.best`); this
+    * String-key form serves `NoIndexFmdv`, whose index is built per query,
+    * and is the tests' oracle for that choice.
     */
   def best(candidates: Seq[Pat], index: PatternIndex, cfg: FmdvConfig): Option[Solution] = {
     import Ordering.Double.TotalOrdering

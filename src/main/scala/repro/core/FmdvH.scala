@@ -28,8 +28,7 @@ object FmdvH {
     val n = vs.size // empty strings count toward |C| as non-conforming
     if (n == 0) return None
     val need = math.ceil((1 - cfg.theta) * n).toInt
-    val candidates = Enumerate.frequentPatterns(vs, need, cfg.tau, cfg.cap).map(_._1)
-    Fmdv.best(candidates, index, cfg).map { s =>
+    Enumerate.bestFrequent(vs, need, index, cfg).map { s =>
       val matched = vs.count(v => s.pat.matches(v))
       HSolution(s.pat, s.fpr, n - matched, n)
     }

@@ -16,8 +16,8 @@ import repro.index.PatternIndex
   * solution is feasible when Σ FPR ≤ r (Eq. 9) with per-segment coverage ≥ m
   * (Eq. 10). The segment patterns concatenate into one validation pattern.
   *
-  * The segment table `seg(s)(e)` is filled by one [[Segments]] per solve
-  * rather than one `Fmdv.solve` per span: each value's
+  * The segment cells are solved by one [[Segments]] per solve rather than
+  * one `Fmdv.solve` per span, and only those that Eq. 11 reads: each value's
   * `Enumerate.ValueOptions` table lexes it once and interns each token's
   * options once for every span that holds the token. A span's H(C) leaves
   * out patterns that cannot be index keys, which `Fmdv.best` could not pick
@@ -39,9 +39,7 @@ object FmdvV {
     val aligned = Msa.alignValues(vs)
     val n = aligned.length
     val segments = new Segments(vs, aligned, index, cfg)
-    // seg(s)(e): FMDV on the span [s, e], for each start s in order of end e
-    val seg = Vector.tabulate(n, n)((s, e) => if (e < s) None else segments.fmdv(s, e))
-    eq11(seg).map(VSolution(_)).filter(_.totalFpr <= cfg.r)
+    eq11(n, segments.fmdv).map(VSolution(_)).filter(_.totalFpr <= cfg.r)
   }
 
   /** FMDV on the spans of one aligned column, from its values' option tables.
@@ -98,19 +96,19 @@ object FmdvV {
       if (vals.indices.exists(i => as(i) > last(i)(e))) None else Some(as)
     }
 
-    /** The H(C) of span [s, e]'s sub-values (from their first tokens
-      * `as`), as `Enumerate.hypothesis` counts it, less patterns that
-      * cannot be index keys; it stops at the first sub-value whose plan is
-      * keyless. Equal sub-values fall into one group.
+    /** The support count of span [s, e]'s sub-values (from their first
+      * tokens `as`) at H(C)'s threshold, admitting only index keys; it stops
+      * at the first sub-value whose plan is keyless. Equal sub-values fall
+      * into one group.
       */
-    private def hypothesis(e: Int, as: Array[Int]): Vector[Pat] = {
-      val g = Enumerate.groups(vals, as, Array.fill(vals.length)(1), i => planId(i, as(i), last(i)(e)), shapes, vals.length)
-      Enumerate.count(in, g, vals.length).map(_._1)
-    }
+    private def groups(e: Int, as: Array[Int]): Enumerate.Groups =
+      Enumerate.groups(vals, as, Array.fill(vals.length)(1), i => planId(i, as(i), last(i)(e)), shapes, vals.length)
 
-    /** [[hypothesis]] of span [s, e]; empty at a gap. */
+    /** The H(C) of span [s, e]'s sub-values, as `Enumerate.hypothesis`
+      * counts it, less patterns that cannot be index keys; empty at a gap.
+      */
     private[core] def hypothesis(s: Int, e: Int): Vector[Pat] =
-      span(s, e).fold(Vector.empty[Pat])(hypothesis(e, _))
+      span(s, e).fold(Vector.empty[Pat])(as => Enumerate.count(in, groups(e, as), vals.length).map(_._1))
 
     /** FMDV on the sub-values of span [s, e], as `Fmdv.solve` would choose
       * on them, behind the gap, τ and literal-delimiter checks.
@@ -130,29 +128,33 @@ object FmdvV {
       if ((s to e).forall(j => aligned.profile(j).cls == Tokens.Cls.Symbol) &&
           shapes(planId(0, as(0), last(0)(e))).lists.nonEmpty && vals.indices.forall(i => text(i) == text(0)))
         Some(Solution(Pat(Vector(Pattern.ConstT(text(0)))), 0.0, Long.MaxValue))
-      else Fmdv.best(hypothesis(e, as), index, cfg)
+      else Enumerate.best(in, groups(e, as), vals.length, index, cfg)
     }
   }
 
-  /** Eq. 11 over a segment table (`seg(s)(e)` for e ≥ s; cells with e < s
-    * are not read): the segmentation of 0 … n−1 into defined cells with the
-    * least Σ FPR, or None when no segmentation exists. Spans are solved
-    * bottom-up by length; each starts from its whole-span cell, then tries
-    * the splits t = s … e−1 left to right, and a split replaces the current
-    * best only when its sum is strictly lower.
+  /** Eq. 11 over the cells `cell(s, e)` (s ≤ e) of positions 0 … n−1: the
+    * segmentation into defined cells with the least Σ FPR, or None when no
+    * segmentation exists. A span starts from its whole-span cell, then
+    * tries the splits t = s … e−1 left to right, and a split replaces the
+    * current best only when its sum is strictly lower. Spans are solved
+    * top-down, each once, and a split's right part only when its left
+    * part's FPR is below the current best: FPRs are ≥ 0, so a left part at
+    * or above it cannot make a lower sum (DESIGN §8). Each cell is asked
+    * for at most once.
     */
-  private[core] def eq11(seg: IndexedSeq[IndexedSeq[Option[Solution]]]): Option[Vector[Solution]] = {
-    val n = seg.length
-    // best(s)(e): the least Σ FPR over [s, e] and its segments
-    val best = Array.fill(n, n)(Option.empty[(Double, Vector[Solution])])
-    for (len <- 1 to n; s <- 0 to n - len) {
-      val e = s + len - 1
-      var b = seg(s)(e).map(sol => (sol.fpr, Vector(sol)))
-      for (t <- s until e; (f1, p1) <- best(s)(t); (f2, p2) <- best(t + 1)(e))
-        if (b.forall(_._1 > f1 + f2)) b = Some((f1 + f2, p1 ++ p2))
-      best(s)(e) = b
+  private[core] def eq11(n: Int, cell: (Int, Int) => Option[Solution]): Option[Vector[Solution]] = {
+    // best(s)(e): the least Σ FPR over [s, e] and its segments, null until solved
+    val best = Array.ofDim[Option[(Double, Vector[Solution])]](n, n)
+    def go(s: Int, e: Int): Option[(Double, Vector[Solution])] = {
+      if (best(s)(e) == null) {
+        var b = cell(s, e).map(sol => (sol.fpr, Vector(sol)))
+        for (t <- s until e; (f1, p1) <- go(s, t) if b.forall(_._1 > f1); (f2, p2) <- go(t + 1, e))
+          if (b.forall(_._1 > f1 + f2)) b = Some((f1 + f2, p1 ++ p2))
+        best(s)(e) = b
+      }
+      best(s)(e)
     }
-    best.headOption.flatMap(_.last).map(_._2)
+    if (n == 0) None else go(0, n - 1).map(_._2)
   }
 
   /** FMDV-V as a strict validation [[Method]]. */

@@ -38,14 +38,14 @@ object Msa {
     case _                => MismatchScore
   }
 
-  private def posOf(t: Tok): Pos =
+  private[core] def posOf(t: Tok): Pos =
     Pos(t.cls, if (t.cls == Cls.Symbol) Some(t.text) else None)
 
   /** Needleman-Wunsch of one token sequence against the current profile.
     * Returns the operation trace: for each step, (profileIdx, tokIdx) with -1
     * marking a gap on that side.
     */
-  private def align(profile: Vector[Pos], toks: Vector[Tok]): List[(Int, Int)] = {
+  private[core] def align(profile: Vector[Pos], toks: Vector[Tok]): List[(Int, Int)] = {
     val n = profile.length; val m = toks.length
     val dp = Array.ofDim[Int](n + 1, m + 1)
     for (i <- 1 to n) dp(i)(0) = i * GapScore
@@ -83,12 +83,18 @@ object Msa {
     var rows = Vector(tokSeqs(seedIdx).map(_.text))
     for (idx <- order.tail) {
       val toks = tokSeqs(idx)
-      val trace = align(profile, toks)
-      // an insertion into the profile gives every earlier row a gap there
-      if (trace.exists(_._1 < 0))
-        rows = rows.map(row => trace.map { case (pi, _) => if (pi >= 0) row(pi) else "" }.toVector)
-      profile = trace.map { case (pi, tj) => if (pi >= 0) profile(pi) else posOf(toks(tj)) }.toVector
-      rows :+= trace.map { case (_, tj) => if (tj >= 0) toks(tj).text else "" }.toVector
+      // a row that matches the profile at every position aligns on the
+      // diagonal, the unique optimum, so it needs no DP
+      if (toks.length == profile.length && profile.indices.forall(j => score(profile(j), toks(j)) == MatchScore))
+        rows :+= toks.map(_.text)
+      else {
+        val trace = align(profile, toks)
+        // an insertion into the profile gives every earlier row a gap there
+        if (trace.exists(_._1 < 0))
+          rows = rows.map(row => trace.map { case (pi, _) => if (pi >= 0) row(pi) else "" }.toVector)
+        profile = trace.map { case (pi, tj) => if (pi >= 0) profile(pi) else posOf(toks(tj)) }.toVector
+        rows :+= trace.map { case (_, tj) => if (tj >= 0) toks(tj).text else "" }.toVector
+      }
     }
     val byInput = new Array[Vector[String]](vs.length)
     for ((i, k) <- order.zipWithIndex) byInput(i) = rows(k)

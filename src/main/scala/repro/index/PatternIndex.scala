@@ -18,29 +18,20 @@ final class PatternIndex(val entries: Map[String, PatternStats]) extends Seriali
 
   def size: Int = entries.size
 
-  /** Token key → the slots ([[PatternIndex.slot]]) at which some key holds
-    * that token. Built on first use by one scan that splits the keys
-    * without parsing them, and never serialized with the index.
+  /** The index in token ids, for the online selection: built on first use
+    * by one scan that splits the keys without parsing them, and never
+    * serialized with the index.
     */
-  @transient private lazy val vocabulary: collection.Map[String, mutable.BitSet] = {
-    val slots = mutable.HashMap.empty[String, mutable.BitSet]
-    for (key <- entries.keysIterator) {
-      val toks = Pattern.tokenKeysOf(key)
-      var d = 0
-      while (d < toks.length) {
-        slots.getOrElseUpdate(toks(d), mutable.BitSet.empty) += PatternIndex.slot(toks.length, d)
-        d += 1
-      }
-    }
-    slots
-  }
+  @transient private[repro] lazy val ids: PatternIndex.Ids = new PatternIndex.Ids(entries)
 
   /** The slots at which some key of this index holds `tok`: slot(L, d) is
     * set when a key of L tokens has `tok` at position d. A pattern whose
     * token misses its slot is not a key.
     */
-  def slotsOf(tok: PTok): collection.BitSet =
-    vocabulary.getOrElse(Pattern.tokenKey(tok), collection.BitSet.empty)
+  def slotsOf(tok: PTok): collection.BitSet = {
+    val t = ids.tokenId(tok)
+    if (t < 0) collection.BitSet.empty else ids.slots(t)
+  }
 
   /** Pattern count by token-length (Fig. 13a). */
   def byTokenLength: Map[Int, Long] =
@@ -67,4 +58,69 @@ final class PatternIndex(val entries: Map[String, PatternStats]) extends Seriali
 object PatternIndex {
   /** The bit of (token length L ≥ 1, position 0 ≤ d < L) in [[PatternIndex.slotsOf]]. */
   def slot(len: Int, d: Int): Int = len * (len - 1) / 2 + d
+
+  /** The entries of an index in token ids: each distinct token key gets a
+    * dense id and the slots at which keys hold it; each entry e gets its
+    * token-id sequence, `fpr(e)`, `cov(e)` and `key(e)`, and an
+    * open-addressing table finds an entry by its id sequence. Immutable once
+    * built, so learners may share it across threads.
+    */
+  private[repro] final class Ids(entries: Map[String, PatternStats]) {
+    private val tokenIds = new java.util.HashMap[String, Integer]
+    private val tokenSlots = mutable.ArrayBuffer.empty[mutable.BitSet]
+    private val n = entries.size
+    val key = new Array[String](n)
+    val fpr = new Array[Double](n)
+    val cov = new Array[Long](n)
+    /** Entry e's token ids are toks(from(e)) … toks(from(e + 1) − 1). */
+    private val from = new Array[Int](n + 1)
+    private var toks = new Array[Int](4 * n + 16)
+    private val bits = 32 - Integer.numberOfLeadingZeros(2 * n + 1)
+    private val table = new Array[Int](1 << bits) // 1 + an entry, 0 for none
+
+    {
+      var e = 0
+      for ((k, st) <- entries) {
+        key(e) = k; fpr(e) = st.fpr; cov(e) = st.cov
+        val tks = Pattern.tokenKeysOf(k)
+        if (from(e) + tks.length > toks.length) toks = java.util.Arrays.copyOf(toks, 2 * (from(e) + tks.length))
+        var d = 0
+        while (d < tks.length) {
+          var t = tokenIds.get(tks(d))
+          if (t == null) { t = tokenSlots.length; tokenIds.put(tks(d), t); tokenSlots += mutable.BitSet.empty }
+          tokenSlots(t) += slot(tks.length, d)
+          toks(from(e) + d) = t
+          d += 1
+        }
+        from(e + 1) = from(e) + tks.length
+        table(find(toks, from(e), tks.length)) = e + 1
+        e += 1
+      }
+    }
+
+    /** The table slot of the entry with ids seq(at) … seq(at + len − 1), or the empty slot it would take. */
+    private def find(seq: Array[Int], at: Int, len: Int): Int = {
+      var h = len
+      var j = 0
+      while (j < len) { h = 31 * h + seq(at + j); j += 1 }
+      val mask = (1 << bits) - 1
+      var i = (h * 0x9E3779B9) >>> (32 - bits)
+      while (table(i) != 0 && !same(table(i) - 1, seq, at, len)) i = (i + 1) & mask
+      i
+    }
+
+    private def same(e: Int, seq: Array[Int], at: Int, len: Int): Boolean =
+      from(e + 1) - from(e) == len && java.util.Arrays.equals(toks, from(e), from(e + 1), seq, at, at + len)
+
+    /** The id of `tok`, or −1 when no key holds it. */
+    def tokenId(tok: PTok): Int = {
+      val t = tokenIds.get(Pattern.tokenKey(tok))
+      if (t == null) -1 else t.intValue
+    }
+
+    def slots(t: Int): collection.BitSet = tokenSlots(t)
+
+    /** The entry whose token ids are seq(0) … seq(len − 1), or −1. */
+    def entry(seq: Array[Int], len: Int): Int = table(find(seq, 0, len)) - 1
+  }
 }

@@ -5,7 +5,9 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.PropHelpers
 import repro.core.Pattern.{ConstT, Pat}
 
-/** The Eq. 11 DP of FMDV-V against exhaustive segmentation on small tables. */
+/** The Eq. 11 DP of FMDV-V against exhaustive segmentation on small tables,
+  * and against the bottom-up DP over the whole table ([[Eq11Oracle]]).
+  */
 class Eq11Spec extends AnyFunSuite with PropHelpers {
 
   type Table = Vector[Vector[Option[Solution]]]
@@ -20,6 +22,15 @@ class Eq11Spec extends AnyFunSuite with PropHelpers {
     cells <- Gen.listOfN(n * n, Gen.frequency(3 -> Gen.const(None),
       7 -> Gen.oneOf(0.0, 0.01, 0.02, 0.05).map(Some(_))))
   } yield Vector.tabulate(n, n)((s, e) => if (e < s) None else cells(s * n + e).map(sol(s, e, _)))
+
+  /** `FmdvV.eq11` over the table, and the cells it asked for, in order. */
+  private def pruned(seg: Table): (Option[Vector[Solution]], Vector[(Int, Int)]) = {
+    val asked = Vector.newBuilder[(Int, Int)]
+    val got = FmdvV.eq11(seg.length, (s, e) => { asked += ((s, e)); seg(s)(e) })
+    (got, asked.result())
+  }
+
+  private def eq11(seg: Table): Option[Vector[Solution]] = pruned(seg)._1
 
   /** Σ fpr of every segmentation of 0 … n−1 into defined cells. */
   private def allSegmentations(seg: Table): Seq[Double] = {
@@ -42,7 +53,7 @@ class Eq11Spec extends AnyFunSuite with PropHelpers {
     var solved, unsolved = 0
     forSamples(genTable, 400) { seg =>
       val sums = allSegmentations(seg)
-      FmdvV.eq11(seg) match {
+      eq11(seg) match {
         case None =>
           assert(sums.isEmpty, s"no segmentation found, but one exists: $seg")
           unsolved += 1
@@ -57,14 +68,14 @@ class Eq11Spec extends AnyFunSuite with PropHelpers {
   }
 
   test("an empty table has no segmentation") {
-    assert(FmdvV.eq11(Vector.empty).isEmpty)
+    assert(eq11(Vector.empty).isEmpty)
   }
 
   test("a whole span beats a split of equal cost") {
     val seg = Vector(
       Vector(Some(sol(0, 0, 0.25)), Some(sol(0, 1, 0.5))),
       Vector(None, Some(sol(1, 1, 0.25))))
-    assert(FmdvV.eq11(seg).contains(Vector(sol(0, 1, 0.5))))
+    assert(eq11(seg).contains(Vector(sol(0, 1, 0.5))))
   }
 
   test("of two splits of equal cost, the leftmost wins") {
@@ -72,6 +83,19 @@ class Eq11Spec extends AnyFunSuite with PropHelpers {
       Vector(Some(sol(0, 0, 0.25)), Some(sol(0, 1, 0.25)), None),
       Vector(None, None, Some(sol(1, 2, 0.25))),
       Vector(None, None, Some(sol(2, 2, 0.25))))
-    assert(FmdvV.eq11(seg).contains(Vector(sol(0, 0, 0.25), sol(1, 2, 0.25))))
+    assert(eq11(seg).contains(Vector(sol(0, 0, 0.25), sol(1, 2, 0.25))))
+  }
+
+  test("the pruned DP returns the bottom-up DP's segments and asks for each cell at most once") {
+    var skipped = 0
+    forSamples(genTable, 400) { seg =>
+      val n = seg.length
+      val (got, asked) = pruned(seg)
+      assert(got == Eq11Oracle.eq11(seg), s"segments differ on $seg")
+      assert(asked.distinct == asked && asked.forall { case (s, e) => 0 <= s && s <= e && e < n }, s"$asked")
+      assert(asked.size <= n * (n + 1) / 2)
+      skipped += n * (n + 1) / 2 - asked.size
+    }
+    assert(skipped > 0, "no cell was pruned")
   }
 }

@@ -4,8 +4,9 @@ import repro.core.Pattern.Pat
 import repro.index.PatternIndex
 
 /** FMDV-V with the per-span fill that [[FmdvV.Segments]] replaces:
-  * `Fmdv.solve` on each span's sub-values, behind the same gap, τ and
-  * literal-delimiter checks, and the same `FmdvV.eq11` over the table.
+  * `Fmdv.best` of each span's sub-values' H(C), behind the same gap, τ and
+  * literal-delimiter checks, every cell solved, and Eq. 11 bottom-up over
+  * the table ([[Eq11Oracle]]).
   */
 object FmdvVOracle {
 
@@ -24,10 +25,10 @@ object FmdvVOracle {
       val allSymbols = (s to e).forall(i => aligned.profile(i).cls == Tokens.Cls.Symbol)
       if (allSymbols && sub.distinct.size == 1)
         return Some(Solution(Pat(Vector(Pattern.ConstT(sub.head))), 0.0, Long.MaxValue))
-      Fmdv.solve(sub, index, cfg)
+      Fmdv.best(Enumerate.hypothesis(sub, cfg.tau, cfg.cap), index, cfg)
     }
 
     val seg = Vector.tabulate(n, n)((s, e) => if (e < s) None else segmentFmdv(s, e))
-    FmdvV.eq11(seg).map(FmdvV.VSolution(_)).filter(_.totalFpr <= cfg.r)
+    Eq11Oracle.eq11(seg).map(FmdvV.VSolution(_)).filter(_.totalFpr <= cfg.r)
   }
 }

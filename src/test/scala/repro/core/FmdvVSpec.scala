@@ -137,6 +137,23 @@ class FmdvVSpec extends SparkSpec {
     assert(small.slotsOf(Pattern.ConstT("b")).isEmpty)
   }
 
+  test("a lone digit whose class options miss the vocabulary keeps its plan live through its literal") {
+    import Pattern.{ConstT, Pat}
+    // "5" at [2, 2] is a key only as its own literal: no key of one token has a
+    // digit class. Its plan (one digit) is first built for "7" at [0, 0], whose
+    // literal is no key of one token either.
+    val idx = new PatternIndex(Map(
+      Pat(Vector(ConstT("7"), ConstT("-"))).key -> PatternStats(0.01, 9L),
+      Pat(Vector(ConstT("5"))).key -> PatternStats(0.02, 9L)))
+    val vs = Vector("7-5")
+    val segments = new FmdvV.Segments(vs, Msa.alignValues(vs), idx, FmdvConfig())
+    assert(segments.hypothesis(0, 0).isEmpty)
+    assert(segments.hypothesis(2, 2) == Vector(Pat(Vector(ConstT("5")))))
+    val v = FmdvV.solve(vs, idx)
+    assert(v == FmdvVOracle.solve(vs, idx))
+    assert(v.map(_.pattern).contains(Pat(Vector(ConstT("7"), ConstT("-"), ConstT("5")))))
+  }
+
   test("a span's pruned H(C) keeps every index key of H(C), so FMDV picks the same") {
     for ((vs, cfg, idx) <- cases(40)) {
       val distinct = vs.filter(_.nonEmpty).distinct

@@ -1,7 +1,9 @@
 package repro.core
 
+import org.scalacheck.Gen
 import repro.{PropHelpers, SparkSpec}
 import repro.core.Tokens.Cls
+import scala.util.Random
 
 class MsaSpec extends SparkSpec with PropHelpers {
 
@@ -101,5 +103,69 @@ class MsaSpec extends SparkSpec with PropHelpers {
       checkRows(vs).length > vs.map(Tokens.tokenize(_).length).max
     }
     assert(widened > 0, "no input forced an insertion")
+  }
+
+  /** `Msa.alignValues` with every row aligned by Needleman-Wunsch, the
+    * oracle of its identity shortcut; `diagonal` counts the rows whose
+    * trace is the diagonal of the profile.
+    */
+  private var diagonal = 0
+  private def alignByDp(values: Seq[String]): Msa.Aligned = {
+    val vs = values.filter(v => v != null && v.nonEmpty).toVector
+    if (vs.isEmpty) return Msa.Aligned(Vector.empty, Vector.empty)
+    val tokSeqs = vs.map(Tokens.tokenize)
+    val seedIdx = tokSeqs.indices.maxBy(i => tokSeqs(i).length)
+    val order = seedIdx +: tokSeqs.indices.filter(_ != seedIdx)
+    var profile = tokSeqs(seedIdx).map(Msa.posOf)
+    var rows = Vector(tokSeqs(seedIdx).map(_.text))
+    for (idx <- order.tail) {
+      val toks = tokSeqs(idx)
+      val trace = Msa.align(profile, toks)
+      if (trace == profile.indices.map(j => (j, j)).toList) diagonal += 1
+      if (trace.exists(_._1 < 0))
+        rows = rows.map(row => trace.map { case (pi, _) => if (pi >= 0) row(pi) else "" }.toVector)
+      profile = trace.map { case (pi, tj) => if (pi >= 0) profile(pi) else Msa.posOf(toks(tj)) }.toVector
+      rows :+= trace.map { case (_, tj) => if (tj >= 0) toks(tj).text else "" }.toVector
+    }
+    val byInput = new Array[Vector[String]](vs.length)
+    for ((i, k) <- order.zipWithIndex) byInput(i) = rows(k)
+    Msa.Aligned(profile, byInput.toVector)
+  }
+
+  private val pieces = Vector("7", "42", "2019", "ab", "Q", "xyz", "-", ":", "/", ".", " ", "é")
+
+  /** Columns of edits of one value's tokens: equal rows, rows with another
+    * text of a token's class, rows one symbol apart, and rows with a token
+    * inserted, deleted or moved (the rows after an insertion into the
+    * profile align against the widened profile).
+    */
+  private val genEdited: Gen[Vector[String]] = Gen.long.map { seed =>
+    val rnd = new Random(seed)
+    def piece = pieces(rnd.nextInt(pieces.length))
+    val base = Tokens.tokenize(Vector.fill(1 + rnd.nextInt(7))(piece).mkString).map(_.text)
+    Vector.fill(1 + rnd.nextInt(6)) {
+      val t = base.toBuffer
+      val k = rnd.nextInt(t.length)
+      rnd.nextInt(6) match {
+        case 0 => ()
+        case 1 => t(k) = if (t(k).head.isDigit) rnd.nextInt(1000).toString else if (t(k).head.isLetter) "Zz" else t(k)
+        case 2 => t(k) = Seq("-", "/", "#").find(_ != t(k)).get
+        case 3 => t.insert(k, piece)
+        case 4 => if (t.length > 1) t.remove(k)
+        case _ => t.remove(k); t.insert(rnd.nextInt(t.length + 1), piece) // as long, shifted
+      }
+      t.mkString
+    }
+  }
+
+  test("rows that match the profile everywhere align as Needleman-Wunsch aligns them") {
+    diagonal = 0
+    var widened = 0
+    forSamples(genEdited, 500) { vs =>
+      val got = Msa.alignValues(vs)
+      assert(got == alignByDp(vs), s"$vs")
+      if (got.matrix.exists(_.contains(""))) widened += 1
+    }
+    assert(diagonal > 100 && widened > 10, s"$diagonal diagonal rows, $widened columns with gaps")
   }
 }
