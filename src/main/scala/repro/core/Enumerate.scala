@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.core.Pattern._
-import repro.core.Tokens.{Tok, Cls}
 import repro.index.PatternIndex
 
 /** Pattern enumeration (§2.1, Algorithm 1).
@@ -20,7 +19,7 @@ import repro.index.PatternIndex
   * whole values here and for FMDV-V's runs of tokens alike.
   *
   * Every entry point runs on one [[Counter]]: the cross-products are walked
-  * down a prefix trie of interned token ids, and a `Pat` is built only for
+  * down a prefix trie of token codes, and a `Pat` is built only for
   * the trie nodes whose count reaches the caller's threshold (for H(C),
   * every distinct value). Before any walk, one support count ([[groups]])
   * drops the options that no pattern reaching the threshold can hold, and
@@ -39,80 +38,36 @@ object Enumerate {
     */
   val DefaultCap = 8192
 
-  /** One value's option lists as interned token ids: list × position ×
-    * option.
-    */
+  /** One value's option lists as token codes: list × position × option. */
   private[core] type OptionIds = Array[Array[Array[Int]]]
 
-  /** Interns pattern tokens to dense ids 0, 1, 2, … in first-seen order. */
-  private[core] final class Interner {
-    private val ids = new java.util.HashMap[PTok, Integer]
-    private val tokens = collection.mutable.ArrayBuffer.empty[PTok]
-
-    def idOf(t: PTok): Int = {
-      val id = ids.get(t)
-      if (id != null) id.intValue
-      else { ids.put(t, tokens.size); tokens += t; tokens.size - 1 }
-    }
-
-    def tokenOf(id: Int): PTok = tokens(id)
-
+  /** The literal table of one count (class tokens need none, see
+    * [[Pattern.Code]]), with a dense id per token shape code and each
+    * literal's code in one index.
+    */
+  private[core] final class Interner extends Literals {
     private val shapes = new IdMap(4)
 
     /** A dense id for a token shape code (`Tokens.shapeCode`). */
     def shapeId(code: Long): Int = shapes.getOrAdd(code)
 
-    private val literals = new java.util.HashMap[String, Integer]
+    private var indexIds = new Array[Int](0) // 2 + literal l's code in the index, 0 until looked up
 
-    /** The id of `ConstT(text)`, without a `ConstT` once `text` was seen;
-      * unless `intern`, −1 for a text not seen here.
+    /** Code c's token in `index`'s id table, −1 when no key holds it: a
+      * class code is its own id, and a literal is looked up once by its
+      * text, so an interner serves one index.
       */
-    def literalId(text: String, intern: Boolean): Int = {
-      val id = literals.get(text)
-      if (id != null) id.intValue
-      else if (!intern) -1
-      else { val i = idOf(ConstT(text)); literals.put(text, i); i }
-    }
-
-    private var indexIds = new Array[Int](0) // 2 + token t's index id, 0 until looked up
-    private var specs = new Array[Int](0) // token t's specificity, set with its index id
-
-    /** Token t's id in `index`'s id table, −1 when no key holds it; looked
-      * up once per token, with its specificity, so an interner serves one
-      * index.
-      */
-    def indexId(t: Int, index: PatternIndex): Int = {
-      if (t >= indexIds.length) {
-        indexIds = java.util.Arrays.copyOf(indexIds, math.max(64, 2 * t))
-        specs = java.util.Arrays.copyOf(specs, indexIds.length)
+    def indexId(c: Int, index: PatternIndex): Int =
+      if (!Code.isLiteral(c)) { if (index.ids.holds(c)) c else -1 }
+      else {
+        if (c >= indexIds.length) indexIds = java.util.Arrays.copyOf(indexIds, math.max(64, 2 * c))
+        if (indexIds(c) == 0) indexIds(c) = index.ids.literal(text(c)) + 2
+        indexIds(c) - 2
       }
-      if (indexIds(t) == 0) { indexIds(t) = index.ids.tokenId(tokens(t)) + 2; specs(t) = tokens(t).specificity }
-      indexIds(t) - 2
-    }
-
-    /** `tokenOf(t).specificity`, once [[indexId]] has looked t up. */
-    def specificity(t: Int): Int = specs(t)
-
-    /** `opts` as an array of ids. */
-    def idsOf(opts: Vector[PTok]): Array[Int] = {
-      val a = new Array[Int](opts.length)
-      var i = 0
-      while (i < a.length) { a(i) = idOf(opts(i)); i += 1 }
-      a
-    }
-
-    private val alnums = new java.util.HashMap[Integer, Array[Int]]
-
-    /** The ids of `<alnum>{len}` and `<alnum>+`. */
-    def alnumIds(len: Int): Array[Int] = {
-      var o = alnums.get(len)
-      if (o == null) { o = idsOf(Vector(FixLen(GClass.Alnum, len), VarLen(GClass.Alnum))); alnums.put(len, o) }
-      o
-    }
   }
 
   /** One value's option table: the value is lexed once into token offsets
-    * and shape codes, and each fine token's options are interned per
+    * and shape codes, and each fine token's option codes are made per
     * pruning level on first use. A run of fine tokens a … b lexes, as a
     * value of its own, to exactly those tokens, so [[lists]] is P(v) of any
     * run's text — of the whole value for the run 0 … length − 1.
@@ -122,10 +77,10 @@ object Enumerate {
     private val from: Array[Int] = Tokens.offsets(value)
     private val codes: Array[Long] = Array.tabulate(from.length - 1)(k => Tokens.shapeCode(value, from(k), from(k + 1)))
     private val shapes: Array[Int] = codes.map(in.shapeId)
-    /** 1 + token k's literal id, 0 until first asked for. */
+    /** 1 + token k's literal code, 0 until first asked for. */
     private val literals = new Array[Int](codes.length)
-    /** opts(k)(level): token k's options at pruning levels 0–3; level 4
-      * keeps only level 3's first option (the cap's last resort).
+    /** opts(k)(level): token k's options at pruning levels 0–4; level 4,
+      * the cap's last resort, keeps level 3's one option.
       */
     private val opts: Array[Array[Array[Int]]] = new Array(codes.length)
 
@@ -138,11 +93,11 @@ object Enumerate {
     /** Token k's shape (`Tokens.shapeCode`), interned. */
     def shape(k: Int): Int = shapes(k)
 
-    /** The id of token k's text as a literal; equal ids are equal tokens.
+    /** The code of token k's text as a literal; equal codes are equal texts.
       * Unless `intern`, −1 when the interner has not seen the text.
       */
     def literal(k: Int, intern: Boolean): Int = {
-      if (literals(k) == 0) literals(k) = in.literalId(text(k, k), intern) + 1
+      if (literals(k) == 0) literals(k) = in.code(text(k, k), intern) + 1
       literals(k) - 1
     }
 
@@ -152,9 +107,7 @@ object Enumerate {
       if (opts(k) == null) opts(k) = new Array[Array[Int]](5)
       val o = opts(k)
       if (o(level) == null)
-        o(level) =
-          if (level == 4) Array(fine(k, 3)(0))
-          else in.idsOf(Hierarchy.optionsPruned(Tok(Tokens.clsOfShape(codes(k)), text(k, k)), level))
+        o(level) = Hierarchy.options(codes(k), level, literal(k, intern = true))
       o(level)
     }
 
@@ -165,7 +118,7 @@ object Enumerate {
     private def merged(a: Int, b: Int, level: Int): Array[Int] =
       if (a == b) fine(a, level)
       else {
-        val o = in.alnumIds(from(b + 1) - from(a))
+        val o = Hierarchy.alnum(from(b + 1) - from(a))
         if (level == 4) Array(o(0)) else o
       }
 
@@ -177,7 +130,7 @@ object Enumerate {
       * tokenize differently (all-digit octets vs mixed ones).
       */
     private def skeleton(a: Int, b: Int): Array[Int] =
-      if (isSym(a)) fine(a, 0) else in.alnumIds(from(b + 1) - from(a))
+      if (isSym(a)) fine(a, 0) else Hierarchy.alnum(from(b + 1) - from(a))
 
     /** The first pruning level at which the cross-product of the tokens
       * that the runs starts(d) … ends(d) merge into fits under `cap`, or 4
@@ -308,13 +261,13 @@ object Enumerate {
   }
 
   /** Counts P(v) over the values of one column without materialising a
-    * pattern per value. Each cross-product of option ids interned by `in`
-    * is walked depth-first down a prefix trie of those ids.
+    * pattern per value. Each cross-product of option codes (literals coded
+    * by `in`) is walked depth-first down a prefix trie of those codes.
     * A node that ends a pattern keeps a count and the index of the last
     * value that reached it, so a pattern reached twice from one value (from
     * fine and from skeleton, say) counts once, with that value's
     * multiplicity. The trie's edges live in an [[IdMap]] keyed by
-    * (parent id, token id): an edge is added exactly when its child is
+    * (parent id, token code): an edge is added exactly when its child is
     * created, so edge id i leads to node i + 1, and fan-out is unbounded.
     */
   private final class Counter(in: Interner) {
@@ -380,7 +333,7 @@ object Enumerate {
       while (a != 0) { depth += 1; a = parent(a) }
       val ts = new Array[PTok](depth)
       a = node
-      while (a != 0) { depth -= 1; ts(depth) = in.tokenOf(tokOf(a)); a = parent(a) }
+      while (a != 0) { depth -= 1; ts(depth) = Code.decode(tokOf(a), in.text); a = parent(a) }
       Pat(ts.toVector)
     }
 
@@ -419,7 +372,7 @@ object Enumerate {
           a = n
           while (d > 0 && !missing) {
             d -= 1; seq(d) = in.indexId(tokOf(a), index); missing = seq(d) < 0
-            spec += in.specificity(tokOf(a)); a = parent(a)
+            spec += Code.specificity(tokOf(a)); a = parent(a)
           }
           val e = if (missing) -1 else ids.entry(seq, len)
           if (e >= 0 && ids.fpr(e) <= cfg.r && ids.cov(e) >= cfg.m && (win < 0 || before(ids, e, spec, win, winSpec))) {
@@ -449,9 +402,9 @@ object Enumerate {
     * or of every cell of one FMDV-V solve, share. Plans by token shape: the
     * node of a trie of interned shapes that a run's shapes end at holds the
     * [[Plan]] of the first run that reached it. Support keys (list length L,
-    * position d, token id t) get dense ids, a plan's when it is counted, and
+    * position d, token code t) get dense ids, a plan's when it is counted, and
     * `index` (null for none) admits only those that some index key has
-    * (its id table's slots, looked up once per token id). Support is kept per key id,
+    * (its id table's slots). Support is kept per key id,
     * stamped with its count, so a count costs nothing for keys it leaves.
     */
   private[core] final class Shapes(tau: Int, cap: Int, in: Interner, index: PatternIndex) {
@@ -652,7 +605,7 @@ object Enumerate {
       else { val q = trie.getOrAdd(planIds(r)); order(q) = planIds(r); mass(q) += ms(r) }
       slots(r + 1) = slots(r) + p.slots.length / 3
       // a literal key first met where the runs left cannot bring it to minCount gets
-      // no id, so its text is only looked up: it has a key only if it was interned
+      // no id, so its text is only looked up: it has a key only if it was coded
       val keyed = left >= minCount
       var i = 0
       while (i < p.slots.length) {
@@ -759,7 +712,7 @@ object Enumerate {
                                   cap: Int = DefaultCap): Vector[Vector[Vector[Vector[PTok]]]] = {
     val in = new Interner
     val g = columnOptions(in, values, minCount, tau, cap)
-    g.of.toVector.map(i => g.lists(i).toVector.map(_.toVector.map(_.toVector.map(in.tokenOf))))
+    g.of.toVector.map(i => g.lists(i).toVector.map(_.toVector.map(_.toVector.map(Code.decode(_, in.text)))))
   }
 
   /** P(v): all patterns consistent with v (fine ∪ merged granularity ∪ the

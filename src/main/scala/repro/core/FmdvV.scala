@@ -18,7 +18,7 @@ import repro.index.PatternIndex
   *
   * The segment cells are solved by one [[Segments]] per solve rather than
   * one `Fmdv.solve` per span, and only those that Eq. 11 reads: each value's
-  * `Enumerate.ValueOptions` table lexes it once and interns each token's
+  * `Enumerate.ValueOptions` table lexes it once and codes each token's
   * options once for every span that holds the token. A span's H(C) leaves
   * out patterns that cannot be index keys, which `Fmdv.best` could not pick
   * anyway, so every cell chooses what `Fmdv.solve` on the span's values
@@ -47,8 +47,8 @@ object FmdvV {
     * A span's sub-value of value v is a run of v's fine tokens (a row's
     * non-gap cells), so its option lists are those of the run in v's
     * [[Enumerate.ValueOptions]] table. All values' tables share one
-    * interner, so each (value, token, pruning level) option list is
-    * interned once for every span that holds the token. Each cell counts
+    * literal table, and each (value, token, pruning level) option list is
+    * coded once for every span that holds the token. Each cell counts
     * its sub-values' support (`Enumerate.groups`) in one `Shapes` for all
     * cells, which admits only the options that some index key holds at
     * their (list length, position): every token of a key in P(v) is

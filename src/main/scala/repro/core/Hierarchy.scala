@@ -1,10 +1,9 @@
 package repro.core
 
-import repro.core.Pattern._
-import repro.core.Tokens.{Cls, Tok}
+import repro.core.Pattern.{Code, GClass}
 
 /** The generalization hierarchy of Fig. 4, expressed as: for each lexed token,
-  * the set of pattern tokens it can generalize into.
+  * the set of pattern tokens it can generalize into, as token [[Code]]s.
   *
   *  - digit run "2019"  → `2019`, `<digit>{4}`, `<digit>+`
   *  - letter run "Mar"  → `Mar`, `<letter>{3}`, `<letter>+`
@@ -17,32 +16,16 @@ import repro.core.Tokens.{Cls, Tok}
   */
 object Hierarchy {
 
-  /** Generalization options for one fine/merged token, most specific first.
-    * Digit and letter runs also generalize to `<alnum>` (Fig. 4: alphanum sits
-    * above both), so a hex-ish column mixing "1234" with "a3f0" still has a
-    * non-empty hypothesis space.
-    */
-  def options(t: Tok): Vector[PTok] = t.cls match {
-    case Cls.Digit =>
-      Vector(ConstT(t.text), FixLen(GClass.Digit, t.len), VarLen(GClass.Digit),
-        FixLen(GClass.Alnum, t.len), VarLen(GClass.Alnum))
-    case Cls.Letter =>
-      val base = Vector(ConstT(t.text))
-      val cased =
-        if (t.isUpper) Vector(FixLen(GClass.Upper, t.len), VarLen(GClass.Upper))
-        else if (t.isLower) Vector(FixLen(GClass.Lower, t.len), VarLen(GClass.Lower))
-        else Vector.empty
-      base ++ cased ++ Vector(FixLen(GClass.Letter, t.len), VarLen(GClass.Letter),
-        FixLen(GClass.Alnum, t.len), VarLen(GClass.Alnum))
-    case Cls.Symbol =>
-      Vector(ConstT(t.text))
-    case Cls.Alnum =>
-      Vector(FixLen(GClass.Alnum, t.len), VarLen(GClass.Alnum))
-  }
-
-  /** Graduated option reduction used when the full cross-product would
-    * exceed the per-value cap. Each level keeps the patterns that matter
-    * most for validation:
+  /** The options of a fine token of shape `shape` (`Tokens.shapeCode`) at
+    * pruning level 0–3 (a higher level is level 3), most specific first;
+    * `lit` is the token's literal code, read at level 0 and for a symbol
+    * only. Level 0 has every option. Digit and letter runs also generalize
+    * to `<alnum>` (Fig. 4: alphanum sits above both), so a hex-ish column
+    * mixing "1234" with "a3f0" still has a non-empty hypothesis space.
+    *
+    * The higher levels are the graduated reduction used when the full
+    * cross-product would exceed the per-value cap. Each keeps the patterns
+    * that matter most for validation:
     *
     *  - level 1 drops literals (constants over-fit anyway and explode the
     *    product on wide values);
@@ -51,24 +34,20 @@ object Hierarchy {
     *    hex-like columns need them);
     *  - level 3 keeps a single variable-length token of the narrowest class.
     */
-  def optionsPruned(t: Tok, level: Int): Vector[PTok] = t.cls match {
-    case Cls.Symbol => Vector(ConstT(t.text))
-    case Cls.Alnum  => options(t) // merged runs: always just {n} and +
-    case Cls.Digit => level match {
-      case 0 => options(t)
-      case 1 => Vector(FixLen(GClass.Digit, t.len), VarLen(GClass.Digit),
-        FixLen(GClass.Alnum, t.len), VarLen(GClass.Alnum))
-      case 2 => Vector(FixLen(GClass.Digit, t.len), VarLen(GClass.Digit))
-      case _ => Vector(VarLen(GClass.Digit))
-    }
-    case Cls.Letter =>
-      val cased =
-        if (t.isUpper) GClass.Upper else if (t.isLower) GClass.Lower else GClass.Letter
+  def options(shape: Long, level: Int, lit: => Int): Array[Int] =
+    if (Tokens.isSymbolShape(shape)) Array(lit)
+    else {
+      val (cls, n) = (Tokens.classOfShape(shape), Tokens.lengthOfShape(shape))
+      // the classes above it: a single-cased run also has `<letter>`
+      val wider = if (cls == GClass.Upper || cls == GClass.Lower) Vector(GClass.Letter, GClass.Alnum) else Vector(GClass.Alnum)
       level match {
-        case 0 => options(t)
-        case 1 => options(t).filterNot(_.isInstanceOf[ConstT])
-        case 2 => Vector(FixLen(cased, t.len), VarLen(cased), VarLen(GClass.Letter)).distinct
-        case _ => Vector(VarLen(cased))
+        case 0 => lit +: options(shape, 1, lit)
+        case 1 => (cls +: wider).flatMap(c => Vector(Code.fixed(c, n), Code.variable(c))).toArray
+        case 2 => Array(Code.fixed(cls, n), Code.variable(cls)) ++ wider.init.map(Code.variable)
+        case _ => Array(Code.variable(cls))
       }
-  }
+    }
+
+  /** The options of a merged alnum run of n characters, at every level. */
+  def alnum(n: Int): Array[Int] = Array(Code.fixed(GClass.Alnum, n), Code.variable(GClass.Alnum))
 }

@@ -24,7 +24,8 @@ object Pattern {
     case object Lower  extends GClass(2, "[a-z]", "lower", 4.70)
     case object Letter extends GClass(3, "[A-Za-z]", "letter", 5.70)   // log2(52)
     case object Alnum  extends GClass(4, "[A-Za-z0-9]", "alnum", 5.95) // log2(62)
-    val all: Seq[GClass] = Seq(Digit, Upper, Lower, Letter, Alnum)
+    /** Every class, at its `order`. */
+    val all: IndexedSeq[GClass] = Vector(Digit, Upper, Lower, Letter, Alnum)
     def byName(n: String): GClass = all.find(_.name == n).getOrElse(
       throw new IllegalArgumentException(s"unknown class $n"))
   }
@@ -35,32 +36,87 @@ object Pattern {
     def regex: String
     /** Human-readable form, paper style. */
     def display: String
-    /** Specificity score used for tie-breaks and "most specific" profilers:
-      * higher = narrower. Const > fixed-length > variable-length; narrower
-      * classes beat wider ones.
-      */
-    def specificity: Int
+    /** [[Code.specificity]] of the token's code. */
+    def specificity: Int = Code.specificity(Code.encode(this, _ => 0))
   }
 
   /** A literal token (leaf of the hierarchy). */
   final case class ConstT(text: String) extends PTok {
     def regex: String = JPattern.quote(text)
     def display: String = text
-    def specificity: Int = 100
   }
 
   /** `<cls>{n}` — exactly n characters of the class. */
   final case class FixLen(cls: GClass, n: Int) extends PTok {
     def regex: String = s"${cls.regex}{$n}"
     def display: String = s"<${cls.name}>{$n}"
-    def specificity: Int = 50 + (GClass.all.size - cls.order)
   }
 
   /** `<cls>+` — one or more characters of the class. */
   final case class VarLen(cls: GClass) extends PTok {
     def regex: String = s"${cls.regex}+"
     def display: String = s"<${cls.name}>+"
-    def specificity: Int = 10 + (GClass.all.size - cls.order)
+  }
+
+  /** A token as one `Int` code ≥ 0 (DESIGN §8). A class token needs no
+    * table: bit 30 is set, bits 0–2 hold the class's `order` and bits 3–29
+    * the length n of `<cls>{n}`, 0 for `<cls>+`. The class sits in the low
+    * bits so that a polynomial hash of a code sequence tells apart patterns
+    * that differ only in a class. A literal's code is its id (< 2^30) in a
+    * [[Literals]] table.
+    */
+  object Code {
+    private final val ClassBit = 1 << 30
+    /** The longest `<cls>{n}` a code holds; a longer one has no code. */
+    final val MaxLen = (1 << 27) - 1
+
+    def isLiteral(c: Int): Boolean = c < ClassBit
+    /** A class code's class order and length (0 for `+`). */
+    def order(c: Int): Int = c & 7
+    def length(c: Int): Int = (c >>> 3) & MaxLen
+
+    /** `<cls>{n}`, for 1 ≤ n ≤ [[MaxLen]]. */
+    def fixed(cls: GClass, n: Int): Int =
+      if (n >= 1 && n <= MaxLen) ClassBit | n << 3 | cls.order
+      else throw new IllegalArgumentException(s"<${cls.name}>{$n} has no code: lengths run from 1 to $MaxLen")
+
+    def variable(cls: GClass): Int = ClassBit | cls.order
+
+    /** Token t's code, a literal's from `literal` (its text's id). */
+    def encode(t: PTok, literal: String => Int): Int = t match {
+      case ConstT(s)    => literal(s)
+      case FixLen(c, n) => fixed(c, n)
+      case VarLen(c)    => variable(c)
+    }
+
+    /** The token of code c, a literal's text from `text`. */
+    def decode(c: Int, text: Int => String): PTok =
+      if (isLiteral(c)) ConstT(text(c))
+      else if (length(c) == 0) VarLen(GClass.all(order(c)))
+      else FixLen(GClass.all(order(c)), length(c))
+
+    /** The specificity of code c, for tie-breaks and "most specific"
+      * profilers: higher = narrower. Const > fixed-length > variable-length;
+      * narrower classes beat wider ones.
+      */
+    def specificity(c: Int): Int =
+      if (isLiteral(c)) 100 else (if (length(c) == 0) 10 else 50) + GClass.all.length - order(c)
+  }
+
+  /** Literal texts to codes 0, 1, 2, … in first-seen order. */
+  private[repro] class Literals {
+    private val ids = new java.util.HashMap[String, Integer]
+    private val texts = collection.mutable.ArrayBuffer.empty[String]
+
+    /** The code of `text`; unless `intern`, −1 for a text not seen here. */
+    def code(text: String, intern: Boolean): Int = {
+      val id = ids.get(text)
+      if (id != null) id.intValue
+      else if (!intern) -1
+      else { ids.put(text, texts.size); texts += text; texts.size - 1 }
+    }
+
+    def text(c: Int): String = texts(c)
   }
 
   /** A pattern: a non-empty token sequence. */
@@ -69,7 +125,7 @@ object Pattern {
     lazy val key: String = toks.map(serializeTok).mkString(SEP.toString)
     /** Paper-style rendering. */
     def display: String = toks.map(_.display).mkString
-    def specificity: Int = toks.map(_.specificity).sum
+    def specificity: Int = toks.iterator.map(_.specificity).sum
     /** The anchored regex: the matcher of patterns over 64 positions, and
       * the reference the Shift-And matcher is tested against.
       */
@@ -131,7 +187,7 @@ object Pattern {
 
   private object ShiftAnd {
     /** Per class, by `order`, the ASCII code points its regex accepts. */
-    private val members: Array[Array[Int]] = GClass.all.sortBy(_.order).map { cls =>
+    private val members: Array[Array[Int]] = GClass.all.map { cls =>
       (0 until 128).filter(c => JPattern.matches(cls.regex, c.toChar.toString)).toArray
     }.toArray
 
@@ -223,9 +279,6 @@ object Pattern {
 
   /** Parse a canonical `key` back into a pattern. */
   def parse(key: String): Pat = Pat(tokenKeysOf(key).toVector.map(parseTok))
-
-  /** One token's part of a pattern's canonical `key`. */
-  def tokenKey(t: PTok): String = serializeTok(t)
 
   /** The token keys of a canonical `key`, in order, without parsing them. */
   def tokenKeysOf(key: String): Array[String] = key.split(SEP.toString, -1)

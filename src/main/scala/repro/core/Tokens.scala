@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.core.Pattern.GClass
+
 /** Coarse lexer of §2.1/§3: a value is scanned left-to-right, growing a token
   * until a character of a different class is encountered.
   *
@@ -37,8 +39,6 @@ object Tokens {
   /** One lexed token: its class and the exact matched text. */
   final case class Tok(cls: Cls, text: String) {
     def len: Int = text.length
-    def isUpper: Boolean = cls == Cls.Letter && text.forall(_.isUpper)
-    def isLower: Boolean = cls == Cls.Letter && text.forall(_.isLower)
   }
 
   private def clsOf(c: Int): Cls =
@@ -94,7 +94,8 @@ object Tokens {
   /** The shape of fine token s[i, j): its class and length, its letter case
     * for a letter run and its text for a symbol run, packed in a `Long`
     * ≥ 0 (length in bits 0–30, a symbol's code point in bits 31–51, a tag
-    * in bits 52–54: digit 0, upper 1, lower 2, mixed case 3, symbol 4).
+    * in bits 52–54: a digit or letter run's narrowest class's `order`, so
+    * digit 0, upper 1, lower 2 and letter 3 for mixed case, and symbol 4).
     * Two tokens have equal shapes exactly when their option lists at every
     * pruning level differ at most in a digit or letter literal.
     */
@@ -107,8 +108,8 @@ object Tokens {
         var (upper, lower) = (true, true)
         var k = i
         while (k < j) { if (s.charAt(k) < 'a') lower = false else upper = false; k += 1 }
-        val tag = if (upper) 1L else if (lower) 2L else 3L
-        (tag << 52) | (j - i)
+        val cls = if (upper) GClass.Upper else if (lower) GClass.Lower else GClass.Letter
+        (cls.order.toLong << 52) | (j - i)
     }
   }
 
@@ -116,12 +117,11 @@ object Tokens {
 
   private[core] def isSymbolShape(code: Long): Boolean = (code >>> 52) == SymbolTag
 
-  /** The class of a token of shape code `code`. */
-  private[core] def clsOfShape(code: Long): Cls = (code >>> 52) match {
-    case 0L => Cls.Digit
-    case SymbolTag => Cls.Symbol
-    case _ => Cls.Letter
-  }
+  /** The narrowest class of a digit or letter run of shape `code`. */
+  private[core] def classOfShape(code: Long): GClass = GClass.all((code >>> 52).toInt)
+
+  /** The length of the token of shape `code`. */
+  private[core] def lengthOfShape(code: Long): Int = (code & Int.MaxValue).toInt
 
   /** Merged tokenization: adjacent Digit/Letter runs become one Alnum token.
     * Runs that do not touch another alphanumeric run keep their fine class,

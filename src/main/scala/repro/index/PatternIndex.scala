@@ -2,7 +2,7 @@ package repro.index
 
 import scala.collection.mutable
 import repro.core.Pattern
-import repro.core.Pattern.PTok
+import repro.core.Pattern.{Code, GClass, Literals, PTok}
 
 /** Pre-computed corpus statistics for one pattern (§2.4 offline stage):
   * estimated false-positive rate FPR_T(p) and coverage Cov_T(p).
@@ -29,7 +29,7 @@ final class PatternIndex(val entries: Map[String, PatternStats]) extends Seriali
     * token misses its slot is not a key.
     */
   def slotsOf(tok: PTok): collection.BitSet = {
-    val t = ids.tokenId(tok)
+    val t = Code.encode(tok, ids.literal)
     if (t < 0) collection.BitSet.empty else ids.slots(t)
   }
 
@@ -59,15 +59,17 @@ object PatternIndex {
   /** The bit of (token length L ≥ 1, position 0 ≤ d < L) in [[PatternIndex.slotsOf]]. */
   def slot(len: Int, d: Int): Int = len * (len - 1) / 2 + d
 
-  /** The entries of an index in token ids: each distinct token key gets a
-    * dense id and the slots at which keys hold it; each entry e gets its
-    * token-id sequence, `fpr(e)`, `cov(e)` and `key(e)`, and an
-    * open-addressing table finds an entry by its id sequence. Immutable once
-    * built, so learners may share it across threads.
+  /** The entries of an index in token ids: a class token's id is its
+    * [[Code]], a literal's its code in the index's own literal table; each
+    * token id has the slots at which keys hold it, and each entry e its
+    * token-id sequence, `fpr(e)`, `cov(e)` and `key(e)`. An open-addressing
+    * table finds an entry by its id sequence. Immutable once built, so
+    * learners may share it across threads.
     */
   private[repro] final class Ids(entries: Map[String, PatternStats]) {
-    private val tokenIds = new java.util.HashMap[String, Integer]
-    private val tokenSlots = mutable.ArrayBuffer.empty[mutable.BitSet]
+    private val literals = new Literals
+    /** slotSets(at(t)): token id t's slots, null when no key holds it. */
+    private val slotSets = mutable.ArrayBuffer.empty[mutable.BitSet]
     private val n = entries.size
     val key = new Array[String](n)
     val fpr = new Array[Double](n)
@@ -79,6 +81,7 @@ object PatternIndex {
     private val table = new Array[Int](1 << bits) // 1 + an entry, 0 for none
 
     {
+      val idOf = new java.util.HashMap[String, Integer] // token key → token id, each parsed once
       var e = 0
       for ((k, st) <- entries) {
         key(e) = k; fpr(e) = st.fpr; cov(e) = st.cov
@@ -86,9 +89,12 @@ object PatternIndex {
         if (from(e) + tks.length > toks.length) toks = java.util.Arrays.copyOf(toks, 2 * (from(e) + tks.length))
         var d = 0
         while (d < tks.length) {
-          var t = tokenIds.get(tks(d))
-          if (t == null) { t = tokenSlots.length; tokenIds.put(tks(d), t); tokenSlots += mutable.BitSet.empty }
-          tokenSlots(t) += slot(tks.length, d)
+          var t = idOf.get(tks(d))
+          if (t == null) { t = Code.encode(Pattern.parse(tks(d)).toks.head, literals.code(_, intern = true)); idOf.put(tks(d), t) }
+          val i = at(t)
+          while (slotSets.length <= i) slotSets += null
+          if (slotSets(i) == null) slotSets(i) = mutable.BitSet.empty
+          slotSets(i) += slot(tks.length, d)
           toks(from(e) + d) = t
           d += 1
         }
@@ -112,13 +118,20 @@ object PatternIndex {
     private def same(e: Int, seq: Array[Int], at: Int, len: Int): Boolean =
       from(e + 1) - from(e) == len && java.util.Arrays.equals(toks, from(e), from(e + 1), seq, at, at + len)
 
-    /** The id of `tok`, or −1 when no key holds it. */
-    def tokenId(tok: PTok): Int = {
-      val t = tokenIds.get(Pattern.tokenKey(tok))
-      if (t == null) -1 else t.intValue
-    }
+    /** The id of literal `text`, or −1 when no key holds it. */
+    def literal(text: String): Int = literals.code(text, intern = false)
 
-    def slots(t: Int): collection.BitSet = tokenSlots(t)
+    /** True when some key holds token id t. */
+    def holds(t: Int): Boolean = at(t) < slotSets.length && slotSets(at(t)) != null
+
+    /** The slots of token id t, empty when no key holds it. */
+    def slots(t: Int): collection.BitSet = if (holds(t)) slotSets(at(t)) else collection.BitSet.empty
+
+    /** Token id t's place in `slotSets`: a literal's is even, a class
+      * code's odd, by its length and class, so no table maps codes.
+      */
+    private def at(t: Int): Int =
+      if (Code.isLiteral(t)) 2 * t else 2 * (GClass.all.length * Code.length(t) + Code.order(t)) + 1
 
     /** The entry whose token ids are seq(0) … seq(len − 1), or −1. */
     def entry(seq: Array[Int], len: Int): Int = table(find(seq, 0, len)) - 1

@@ -12,6 +12,20 @@ import repro.index.OfflineIndexer
   */
 object EnumerateOracle {
 
+  /** The options `Hierarchy` codes for lexed token t at pruning level 0–3
+    * (a merged alnum run has the same two at every level), decoded.
+    */
+  def optionsPruned(t: Tok, level: Int): Vector[PTok] = {
+    val lits = new Literals
+    val codes =
+      if (t.cls == Cls.Alnum) Hierarchy.alnum(t.len)
+      else Hierarchy.options(Tokens.shapeCode(t.text, 0, t.len), level, lits.code(t.text, intern = true))
+    codes.toVector.map(Code.decode(_, lits.text))
+  }
+
+  /** Every option of lexed token t, most specific first. */
+  def options(t: Tok): Vector[PTok] = optionsPruned(t, 0)
+
   private def productSize(opts: Vector[Vector[PTok]]): Long =
     opts.foldLeft(1L)((acc, o) => math.min(Long.MaxValue / 2, acc * o.length))
 
@@ -22,10 +36,10 @@ object EnumerateOracle {
 
   private def enumerateToks(toks: Vector[Tok], cap: Int): Vector[Pat] = {
     var level = 0
-    var opts = toks.map(t => Hierarchy.optionsPruned(t, level))
+    var opts = toks.map(t => optionsPruned(t, level))
     while (productSize(opts) > cap && level < 3) {
       level += 1
-      opts = toks.map(t => Hierarchy.optionsPruned(t, level))
+      opts = toks.map(t => optionsPruned(t, level))
     }
     if (productSize(opts) > cap) Vector(Pat(opts.map(_.head)))
     else cross(opts).map(Pat(_))

@@ -137,7 +137,7 @@ class EnumerateOracleSpec extends SparkSpec with PropHelpers {
       for (a <- 0 until table.length; b <- a until table.length) {
         val sub = table.text(a, b)
         assert(Tokens.tokenize(sub).length == b - a + 1, s"'$sub' of '$v'")
-        val got = table.lists(a, b, tau, cap).toVector.map(_.toVector.map(_.toVector.map(in.tokenOf)))
+        val got = table.lists(a, b, tau, cap).toVector.map(_.toVector.map(_.toVector.map(Pattern.Code.decode(_, in.text))))
         assert(got == Enumerate.walkedOptions(Seq(sub), 1, tau, cap).head,
           s"run $a … $b ('$sub') of '$v' at tau=$tau cap=$cap")
       }

@@ -25,14 +25,15 @@ class SelectionSpec extends SparkSpec {
 
   test("selection in ids equals Fmdv.best where the key decides and where tokens miss the index") {
     val cols = Iterator.continually(FmdvVSpec.genColumn.sample).flatten.take(60).toVector ++ FmdvVSpec.fixedColumns
-    var (keyDecided, absent) = (0, 0)
-    for (vs <- cols; cfg <- FmdvVSpec.settings; (drop, stats) <- indexShapes) {
+    val cases = for (vs <- cols; cfg <- FmdvVSpec.settings; (drop, stats) <- indexShapes) yield (vs, cfg, drop, stats)
+    // per case: its mismatches, whether the key decided its winner, and its candidates with absent tokens
+    val results = EnumerateOracleSpec.inParallel(cases) { case (vs, cfg, drop, stats) =>
       val idx = constructed(vs, cfg, drop, stats)
-      val bad = mismatches(vs, idx, cfg)
-      assert(bad.isEmpty, s"$vs at tau=${cfg.tau} cap=${cfg.cap}: $bad")
-      keyDecided += tiedWinners(Enumerate.hypothesis(vs, cfg.tau, cfg.cap), idx, cfg)
-      absent += absentTokens(vs, idx)
+      (mismatches(vs, idx, cfg), tiedWinners(Enumerate.hypothesis(vs, cfg.tau, cfg.cap), idx, cfg), absentTokens(vs, idx))
     }
+    for (((vs, cfg, _, _), (bad, _, _)) <- cases.zip(results))
+      assert(bad.isEmpty, s"$vs at tau=${cfg.tau} cap=${cfg.cap}: $bad")
+    val (keyDecided, absent) = (results.map(_._2).sum, results.map(_._3).sum)
     assert(keyDecided > 0, "no H(C) winner was decided by its key")
     assert(absent > 0, "no candidate holds a token absent from the index")
   }
@@ -90,7 +91,7 @@ object SelectionSpec {
     */
   val indexShapes: Seq[(PTok => Boolean, String => PatternStats)] = Seq(
     ((_: PTok) => false, (_: String) => PatternStats(0.01, 7L)),
-    ((t: PTok) => Math.floorMod(Pattern.tokenKey(t).hashCode, 4) == 0,
+    ((t: PTok) => Math.floorMod(Pat(Vector(t)).key.hashCode, 4) == 0,
       (k: String) => PatternStats(Math.floorMod(k.hashCode, 2) / 100.0, 5L + Math.floorMod(k.hashCode / 2, 2))))
 
   /** An index over the patterns of `vs`' spans (as `FmdvVSpec.spanIndex`),

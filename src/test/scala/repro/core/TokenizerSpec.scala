@@ -52,10 +52,11 @@ class TokenizerSpec extends SparkSpec with PropHelpers {
   }
 
   test("token case predicates") {
-    assert(Tok(Cls.Letter, "ABC").isUpper)
-    assert(!Tok(Cls.Letter, "AbC").isUpper)
-    assert(Tok(Cls.Letter, "abc").isLower)
-    assert(!Tok(Cls.Digit, "12").isUpper)
+    def cls(s: String) = Tokens.classOfShape(Tokens.shapeCode(s, 0, s.length))
+    assert(cls("ABC") == Pattern.GClass.Upper)
+    assert(cls("AbC") == Pattern.GClass.Letter)
+    assert(cls("abc") == Pattern.GClass.Lower)
+    assert(cls("12") == Pattern.GClass.Digit)
   }
 
   test("tokenCount counts runs") {
