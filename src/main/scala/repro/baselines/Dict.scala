@@ -50,34 +50,37 @@ object Dict {
   }
 
   /** Deequ-Cat: dictionary rule, suggested only for categorical-looking
-    * columns (distinct ratio below `maxDistinctRatio`, mirroring Deequ's
+    * columns (distinct ratio at most `MaxDistinctRatio`, mirroring Deequ's
     * categorical-range heuristic).
     */
-  final class DeequCat(maxDistinctRatio: Double = 0.4) extends Method {
+  final class DeequCat extends Method {
     val name = "Deequ-Cat"
+    private val MaxDistinctRatio = 0.4
     def learn(train: Seq[String]): Option[Rule] = {
       if (train.isEmpty) return None
       val distinct = train.distinct.size
-      if (distinct.toDouble / train.size <= maxDistinctRatio)
+      if (distinct.toDouble / train.size <= MaxDistinctRatio)
         Some(CompleteDictRule(name, train.toSet))
       else None
     }
   }
 
   /** Deequ-Fra: fractional dictionary — the dictionary of values covering
-    * ≥ `coverage` of training data must keep covering ≥ `coverage` (with a
-    * small allowance) of future data.
+    * ≥ `Coverage` of training data must keep covering ≥ `Coverage` (less a
+    * small `Allowance`) of future data.
     */
-  final class DeequFra(coverage: Double = 0.9, allowance: Double = 0.05) extends Method {
+  final class DeequFra extends Method {
     val name = "Deequ-Fra"
+    private val Coverage = 0.9
+    private val Allowance = 0.05
     def learn(train: Seq[String]): Option[Rule] = {
       if (train.isEmpty) return None
       val byFreq = train.groupBy(identity).toSeq.sortBy(-_._2.size)
-      val need = math.ceil(coverage * train.size).toInt
+      val need = math.ceil(Coverage * train.size).toInt
       val dict = collection.mutable.LinkedHashSet.empty[String]
       var got = 0
       for ((v, occ) <- byFreq if got < need) { dict += v; got += occ.size }
-      Some(FractionalDictRule(name, dict.toSet, math.max(0.0, coverage - allowance)))
+      Some(FractionalDictRule(name, dict.toSet, math.max(0.0, Coverage - Allowance)))
     }
   }
 }

@@ -47,14 +47,15 @@ object Grok {
     def describe: String = grokNames.mkString(" | ")
   }
 
-  /** Learn: keep grok types matching ≥ `minCoverage` of training values. */
-  final class AsMethod(minCoverage: Double = 0.95,
-                       override val name: String = "Grok") extends Method {
+  /** Learn: keep grok types matching ≥ `MinCoverage` of training values. */
+  final class AsMethod extends Method {
+    val name = "Grok"
+    private val MinCoverage = 0.95
     def learn(train: Seq[String]): Option[Rule] = {
       val vs = train.filter(_ != null)
       if (vs.isEmpty) return None
       val matched = Compiled.filter { case (_, p) =>
-        vs.count(v => p.matcher(v).matches()) >= minCoverage * vs.size
+        vs.count(v => p.matcher(v).matches()) >= MinCoverage * vs.size
       }.map(_._1)
       if (matched.isEmpty) None else Some(GrokRule(name, matched))
     }

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Enumerate, Method, Rule, StrictPatternRule}
+import repro.core.{Enumerate, Method, Rule, StrictPatternRule, Values}
 import repro.core.Pattern._
 
 /** Potter's Wheel pattern profiling (§5.2 "PWheel"): select the pattern that
@@ -46,7 +46,7 @@ object PottersWheel {
     */
   def profile(values: Seq[String]): Option[Pat] = {
     // profilers sample; capping keeps schema-matching-augmented inputs cheap
-    val vs = values.iterator.filter(v => v != null && v.nonEmpty).take(400).toVector
+    val vs = values.iterator.filterNot(Values.isMissing).take(400).toVector
     if (vs.isEmpty) return None
     val exact = Enumerate.hypothesis(vs)
     val candidates =
@@ -59,7 +59,8 @@ object PottersWheel {
   /** PWheel as a validation method: the profiled pattern used as a strict
     * validation rule (the paper's baseline usage).
     */
-  final class AsMethod(override val name: String = "PWheel") extends Method {
+  final class AsMethod extends Method {
+    val name = "PWheel"
     def learn(train: Seq[String]): Option[Rule] =
       profile(train).map(p => StrictPatternRule(name, p))
   }

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Enumerate, Method, Rule, Tokens}
+import repro.core.{Enumerate, Method, Rule, Tokens, Values}
 import repro.core.Pattern.Pat
 
 /** Pattern-profiling baselines beyond Potter's Wheel (§5.2): SSIS, XSystem
@@ -21,9 +21,10 @@ object Profilers {
     * SSIS patterns are notoriously *specific* (literal-heavy, fixed lengths);
     * modeled as the maximum-specificity pattern covering ≥95% of values.
     */
-  final class Ssis(override val name: String = "SSIS") extends Method {
+  final class Ssis extends Method {
+    val name = "SSIS"
     def learn(train: Seq[String]): Option[Rule] = {
-      val vs = train.filter(v => v != null && v.nonEmpty)
+      val vs = train.filterNot(Values.isMissing)
       if (vs.isEmpty) return None
       val exact = Enumerate.hypothesis(vs)
       val cands =
@@ -39,10 +40,10 @@ object Profilers {
     * branch per coarse signature group, each branch being that group's most
     * specific common pattern. A value must match some branch.
     */
-  final class XSystem(minBranchFrac: Double = 0.02,
-                      override val name: String = "XSystem") extends Method {
+  final class XSystem(minBranchFrac: Double = 0.02) extends Method {
+    val name = "XSystem"
     def learn(train: Seq[String]): Option[Rule] = {
-      val vs = train.filter(v => v != null && v.nonEmpty)
+      val vs = train.filterNot(Values.isMissing)
       if (vs.isEmpty) return None
       val groups = vs.groupBy(Tokens.signatureKey).values.toVector
         .filter(_.size >= math.max(1, minBranchFrac * vs.size))
@@ -59,13 +60,14 @@ object Profilers {
     * pattern per cluster; modeled as signature-groups with an MDL-chosen
     * pattern per cluster (slightly more general per-branch than XSystem).
     */
-  final class FlashProfile(minClusterFrac: Double = 0.02,
-                           override val name: String = "FlashProfile") extends Method {
+  final class FlashProfile extends Method {
+    val name = "FlashProfile"
+    private val MinClusterFrac = 0.02
     def learn(train: Seq[String]): Option[Rule] = {
-      val vs = train.filter(v => v != null && v.nonEmpty)
+      val vs = train.filterNot(Values.isMissing)
       if (vs.isEmpty) return None
       val clusters = vs.groupBy(Tokens.signatureKey).values.toVector
-        .filter(_.size >= math.max(1, minClusterFrac * vs.size))
+        .filter(_.size >= math.max(1, MinClusterFrac * vs.size))
       val pats = clusters.flatMap { g =>
         val h = Enumerate.hypothesis(g)
         if (h.isEmpty) None

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Method, Rule, Tokens}
+import repro.core.{Method, Rule, Tokens, Values}
 import repro.lake.LakeColumn
 
 /** Schema-matching baselines (§5.2): broaden the training sample with
@@ -19,7 +19,7 @@ object SchemaMatching {
       majoritySig: Option[String])
 
   private def digest(c: LakeColumn): ColDigest = {
-    val vs = c.values.iterator.filter(v => v != null && v.nonEmpty).take(200).toVector
+    val vs = c.values.iterator.filterNot(Values.isMissing).take(200).toVector
     val sig = pluralitySignature(vs)
     ColDigest(vs.toSet, vs, sig.fold("")(_._1), sig.collect { case (k, true) => k })
   }
@@ -55,7 +55,7 @@ object SchemaMatching {
   final class InstanceBased(view: CorpusView, k: Int) extends Method {
     val name = s"SM-I-$k"
     def learn(train: Seq[String]): Option[Rule] = {
-      val ts = train.filter(v => v != null && v.nonEmpty).toSet
+      val ts = train.filterNot(Values.isMissing).toSet
       if (ts.isEmpty) return None
       val related = view.digests.filter(d => d.distinct.count(ts.contains) >= k)
       profileAugmented(name, train.filter(_ != null), related)
@@ -68,7 +68,7 @@ object SchemaMatching {
   final class PatternBased(view: CorpusView, majority: Boolean) extends Method {
     val name = if (majority) "SM-P-M" else "SM-P-P"
     def learn(train: Seq[String]): Option[Rule] = {
-      val vs = train.filter(v => v != null && v.nonEmpty)
+      val vs = train.filterNot(Values.isMissing)
       if (vs.isEmpty) return None
       val (sig, isMajority) = pluralitySignature(vs).get
       val related =

@@ -1,5 +1,6 @@
 package repro.baselines
 
+import repro.core.Values
 import repro.lake.Benchmark.BenchCase
 import repro.lake.LakeColumn
 
@@ -48,10 +49,10 @@ object UpperBounds {
     if (cases.isEmpty) return 0.0
     val corpusSigCounts: Map[String, Int] = corpus
       .flatMap(c => SchemaMatching.pluralitySignature(
-        c.values.iterator.filter(v => v != null && v.nonEmpty).take(100).toVector).map(_._1))
+        c.values.iterator.filterNot(Values.isMissing).take(100).toVector).map(_._1))
       .groupMapReduce(identity)(_ => 1)(_ + _)
     val covered = cases.count { c =>
-      SchemaMatching.pluralitySignature(c.values.filter(v => v != null && v.nonEmpty))
+      SchemaMatching.pluralitySignature(c.values.filterNot(Values.isMissing))
         .exists { case (sig, _) => corpusSigCounts.getOrElse(sig, 0) >= minColumns }
     }
     covered.toDouble / cases.size

@@ -440,12 +440,12 @@ object Enumerate {
     def apply(id: Int): Plan = plans(id)
 
     /** The id of key (len, d, t); −1 when the vocabulary does not admit it, or when
-      * it is new and not `added`. (len, d) is packed as its `PatternIndex.slot`,
-      * unique for len < 92,682; past that, a shared id only adds supports.
+      * it is new and not `added`. (len, d) is packed as its `PatternIndex.slot`, unique
+      * for len ≤ 46,341 (a list holds ≤ τ tokens); past that, a shared id only adds supports.
       */
     def keyId(len: Int, d: Int, t: Int, added: Boolean = true): Int = {
       if (!admits(t, len, d)) return -1
-      val key = ((len.toLong * (len - 1) / 2 + d) << 32) | t
+      val key = (PatternIndex.slot(len, d).toLong << 32) | t
       val k = if (added) keyIds.getOrAdd(key) else keyIds.get(key)
       if (k == support.length) {
         support = java.util.Arrays.copyOf(support, 2 * k)
@@ -652,9 +652,9 @@ object Enumerate {
   /** The [[groups]] of a column's distinct non-empty values, in first-seen
     * order, with their multiplicities.
     */
-  private def columnOptions(in: Interner, values: Seq[String], minCount: Int, tau: Int, cap: Int): Groups = {
+  private[core] def columnOptions(in: Interner, values: Seq[String], minCount: Int, tau: Int, cap: Int): Groups = {
     val mult = collection.mutable.LinkedHashMap.empty[String, Int]
-    for (v <- values if v != null && v.nonEmpty) mult.update(v, mult.getOrElse(v, 0) + 1)
+    for (v <- values if !Values.isMissing(v)) mult.update(v, mult.getOrElse(v, 0) + 1)
     val vos = mult.keysIterator.map(new ValueOptions(_, in)).toArray
     val shapes = new Shapes(tau, cap, in, null)
     groups(vos, new Array[Int](vos.length), mult.valuesIterator.toArray,
@@ -703,18 +703,6 @@ object Enumerate {
     best(in, columnOptions(in, values, minCount, cfg.tau, cfg.cap), minCount, index, cfg)
   }
 
-  /** The option lists that `frequentPatterns(values, minCount)` walks for
-    * each distinct non-empty value in first-seen order (its group's lists,
-    * list × position × option), so tests can check the grouping and the
-    * support count against a direct count.
-    */
-  private[core] def walkedOptions(values: Seq[String], minCount: Int, tau: Int = DefaultTau,
-                                  cap: Int = DefaultCap): Vector[Vector[Vector[Vector[PTok]]]] = {
-    val in = new Interner
-    val g = columnOptions(in, values, minCount, tau, cap)
-    g.of.toVector.map(i => g.lists(i).toVector.map(_.toVector.map(_.toVector.map(Code.decode(_, in.text)))))
-  }
-
   /** P(v): all patterns consistent with v (fine ∪ merged granularity ∪ the
     * alnum skeleton). Empty for null/empty values and values wider than tau
     * tokens at both granularities.
@@ -738,7 +726,7 @@ object Enumerate {
 
   /** The distinct non-empty values, whose every-value count is H(C). */
   private[core] def distinctValues(values: Seq[String]): Seq[String] =
-    values.filter(v => v != null && v.nonEmpty).distinct
+    values.filterNot(Values.isMissing).distinct
 
   /** Per-column pattern→match-count map: for each pattern p ∈ P(D), the
     * number of values v ∈ D with p ∈ P(v). Wide values (> tau tokens)

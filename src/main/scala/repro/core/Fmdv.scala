@@ -51,9 +51,9 @@ object Fmdv {
   /** Select the best feasible pattern among candidates: the least of the
     * preference key (fpr, −cov, −specificity, key), i.e. the lowest FPR,
     * then the highest coverage, the most specific pattern and the least key.
-    * The solvers choose in the index's token ids (`Enumerate.best`); this
-    * String-key form serves `NoIndexFmdv`, whose index is built per query,
-    * and is the tests' oracle for that choice.
+    * Every solver chooses in the index's token ids (`Enumerate.best`); this
+    * String-key form stays only for the benchmark's selection layer and as
+    * `SelectionSpec`'s oracle for that choice.
     */
   def best(candidates: Seq[Pat], index: PatternIndex, cfg: FmdvConfig): Option[Solution] = {
     import Ordering.Double.TotalOrdering
@@ -65,8 +65,8 @@ object Fmdv {
   /** FMDV as a validation [[Method]] (strict matching, like the paper's
     * basic variant: a single non-conforming future value raises an alarm).
     */
-  final class AsMethod(index: PatternIndex, cfg: FmdvConfig = FmdvConfig(),
-                       override val name: String = "FMDV") extends Method {
+  final class AsMethod(index: PatternIndex, cfg: FmdvConfig = FmdvConfig()) extends Method {
+    val name = "FMDV"
     def learn(train: Seq[String]): Option[Rule] =
       solve(train, index, cfg).map(s => StrictPatternRule(name, s.pat))
   }

@@ -34,7 +34,7 @@ object FmdvV {
 
   def solve(values: Seq[String], index: PatternIndex,
             cfg: FmdvConfig = FmdvConfig()): Option[VSolution] = {
-    val vs = values.filter(v => v != null && v.nonEmpty).distinct.toVector
+    val vs = Enumerate.distinctValues(values).toVector
     if (vs.isEmpty) return None
     val aligned = Msa.alignValues(vs)
     val n = aligned.length
@@ -158,8 +158,8 @@ object FmdvV {
   }
 
   /** FMDV-V as a strict validation [[Method]]. */
-  final class AsMethod(index: PatternIndex, cfg: FmdvConfig = FmdvConfig(),
-                       override val name: String = "FMDV-V") extends Method {
+  final class AsMethod(index: PatternIndex, cfg: FmdvConfig = FmdvConfig()) extends Method {
+    val name = "FMDV-V"
     def learn(train: Seq[String]): Option[Rule] =
       solve(train, index, cfg).map(s => StrictPatternRule(name, s.pattern))
   }

@@ -73,7 +73,7 @@ object Msa {
 
   /** Align all values greedily (longest-first seeds the profile). */
   def alignValues(values: Seq[String]): Aligned = {
-    val vs = values.filter(v => v != null && v.nonEmpty).toVector
+    val vs = values.filterNot(Values.isMissing).toVector
     if (vs.isEmpty) return Aligned(Vector.empty, Vector.empty)
     val tokSeqs = vs.map(Tokens.tokenize)
     val seedIdx = tokSeqs.indices.maxBy(i => tokSeqs(i).length)

@@ -35,11 +35,15 @@ object Drift {
 
   final case class TaskResult(task: String, detected: Boolean, falsePositive: Boolean)
 
-  def run(method: Method, seed: Long = 404L, nTrain: Int = 200, nTest: Int = 200): Vector[TaskResult] =
+  /** Task i draws `NValues` training and `NValues` test values per column from `Random(Seed + 131 i)`. */
+  private val Seed = 404L
+  private val NValues = 200
+
+  def run(method: Method): Vector[TaskResult] =
     Tasks.zipWithIndex.map { case (t, i) =>
-      val r = new Random(seed + i * 131L)
-      val trainA = t.colA.make(r, nTrain); val trainB = t.colB.make(r, nTrain)
-      val testA = t.colA.make(r, nTest); val testB = t.colB.make(r, nTest)
+      val r = new Random(Seed + i * 131L)
+      val trainA = t.colA.make(r, NValues); val trainB = t.colB.make(r, NValues)
+      val testA = t.colA.make(r, NValues); val testB = t.colB.make(r, NValues)
       val ruleA = method.learn(trainA)
       val ruleB = method.learn(trainB)
       // schema-drift: column A's validator sees column B's data and vice versa

@@ -20,10 +20,6 @@ import repro.lake.Benchmark.BenchCase
   */
 object Eval {
 
-  final case class EvalConfig(
-      trainFrac: Double = 0.1,
-      groundTruth: Boolean = false)
-
   final case class CaseOutcome(
       id: String,
       domain: String,
@@ -64,17 +60,18 @@ object Eval {
   }
 
   /** Learn rules for every subset case once. */
-  def learnRules(method: Method, subset: Seq[BenchCase],
-                 cfg: EvalConfig): Map[String, Option[Rule]] =
-    parMap(subset)(c => c.id -> method.learn(c.train(cfg.trainFrac))).toMap
+  def learnRules(method: Method, subset: Seq[BenchCase]): Map[String, Option[Rule]] =
+    parMap(subset)(c => c.id -> method.learn(c.train())).toMap
 
-  def evaluate(method: Method, cases: Seq[BenchCase],
-               cfg: EvalConfig = EvalConfig()): MethodScore = {
+  /** Scores `method` on the patterned subset of `cases`, by the
+    * programmatic evaluation or, with `groundTruth`, the hand-curated one.
+    */
+  def evaluate(method: Method, cases: Seq[BenchCase], groundTruth: Boolean = false): MethodScore = {
     val subset = patternedSubset(cases)
-    val rules = learnRules(method, subset, cfg)
+    val rules = learnRules(method, subset)
     val outcomes = parMap(subset) { c =>
       val rule = rules(c.id)
-      val ownTest = if (cfg.groundTruth) c.testClean(cfg.trainFrac) else c.test(cfg.trainFrac)
+      val ownTest = if (groundTruth) c.testClean() else c.test()
       val precision = rule match {
         case None    => 1
         case Some(r) => if (r.flags(ownTest)) 0 else 1
@@ -82,9 +79,9 @@ object Eval {
       val recall = (rule, precision) match {
         case (Some(r), 1) =>
           val others = subset.filter(j =>
-            j.id != c.id && !(cfg.groundTruth && j.domain == c.domain))
+            j.id != c.id && !(groundTruth && j.domain == c.domain))
           if (others.isEmpty) 0.0
-          else others.count(j => r.flags(j.test(cfg.trainFrac))).toDouble / others.size
+          else others.count(j => r.flags(j.test())).toDouble / others.size
         case _ => 0.0
       }
       CaseOutcome(c.id, c.domain, rule.isDefined, precision, recall)
@@ -96,9 +93,8 @@ object Eval {
   }
 
   /** Evaluate many methods against the same benchmark. */
-  def evaluateAll(methods: Seq[Method], cases: Seq[BenchCase],
-                  cfg: EvalConfig = EvalConfig()): Vector[MethodScore] =
-    methods.map(m => evaluate(m, cases, cfg)).toVector
+  def evaluateAll(methods: Seq[Method], cases: Seq[BenchCase]): Vector[MethodScore] =
+    methods.map(m => evaluate(m, cases)).toVector
 
   /** Header of a [[scoreRow]] table. */
   val scoreHeader: String = f"${"method"}%-14s ${"precision"}%9s ${"recall"}%9s ${"F1"}%9s"

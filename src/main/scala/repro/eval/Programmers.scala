@@ -2,7 +2,7 @@ package repro.eval
 
 import java.util.regex.{Pattern => JPattern}
 import scala.util.Try
-import repro.core.{Method, Rule, Tokens}
+import repro.core.{Method, Rule, Tokens, Values}
 import repro.core.Tokens.{Cls, Tok}
 
 /** Simulated-programmer policies for the user-study reproduction (Table 3).
@@ -39,7 +39,7 @@ object Programmers {
     */
   final class Careful(override val name: String = "Programmer#1") extends Method {
     def learn(train: Seq[String]): Option[Rule] = {
-      val vs = train.filter(v => v != null && v.nonEmpty)
+      val vs = train.filterNot(Values.isMissing)
       if (vs.isEmpty) return None
       val toks = vs.map(Tokens.tokenize)
       val sig = Tokens.signatureKey(vs.head)
@@ -64,7 +64,7 @@ object Programmers {
     */
   final class Quick(override val name: String = "Programmer#2") extends Method {
     def learn(train: Seq[String]): Option[Rule] = {
-      val vs = train.filter(v => v != null && v.nonEmpty)
+      val vs = train.filterNot(Values.isMissing)
       if (vs.isEmpty) return None
       val toks = Tokens.tokenize(vs.head)
       val re = toks.map { t =>
@@ -83,7 +83,7 @@ object Programmers {
     */
   final class Sloppy(override val name: String = "Programmer#3") extends Method {
     def learn(train: Seq[String]): Option[Rule] = {
-      val vs = train.filter(v => v != null && v.nonEmpty)
+      val vs = train.filterNot(Values.isMissing)
       if (vs.isEmpty) return None
       val toks = Tokens.tokenize(vs.head)
       val re = toks.map {

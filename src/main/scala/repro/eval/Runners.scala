@@ -6,7 +6,7 @@ import repro.baselines._
 import repro.core._
 import repro.index.{NoIndexFmdv, OfflineIndexer, PatternIndex}
 import repro.lake._
-import repro.eval.Eval.{EvalConfig, MethodScore}
+import repro.eval.Eval.MethodScore
 
 /** Shared experiment engine: each paper table/figure has one runner that
   * returns both the rendered text table and the underlying numbers, used by
@@ -48,10 +48,9 @@ object Runners {
   }
 
   /** All compared validation methods (§5.2), in the paper's grouping. */
-  def methods(index: PatternIndex, corpusCols: Seq[LakeColumn],
-              cfg: FmdvConfig = FmdvConfig()): Vector[Method] = {
+  def methods(index: PatternIndex, corpusCols: Seq[LakeColumn]): Vector[Method] = {
     val smView = new SchemaMatching.CorpusView(corpusCols)
-    fmdvVariants(index, cfg) ++ Vector(
+    fmdvVariants(index, FmdvConfig()) ++ Vector(
       new Dict.Tfdv,
       new Dict.DeequCat,
       new Dict.DeequFra,
@@ -125,8 +124,8 @@ object Runners {
   def table2(art: Artifacts): Table2Result = {
     val index = art.index("E")
     val vh = new FmdvH.VhMethod(index)
-    val prog = Eval.evaluate(vh, art.bench("E"), EvalConfig(groundTruth = false))
-    val gt = Eval.evaluate(vh, art.bench("E"), EvalConfig(groundTruth = true))
+    val prog = Eval.evaluate(vh, art.bench("E"))
+    val gt = Eval.evaluate(vh, art.bench("E"), groundTruth = true)
     val rendered = Seq(
       "== Table 2: programmatic evaluation vs ground truth (FMDV-VH on B_E) ==",
       f"${"evaluation"}%-28s ${"precision"}%9s ${"recall"}%9s",
@@ -140,11 +139,7 @@ object Runners {
   // ------------------------------------------------------------------
   final case class SensResult(rows: Vector[(String, Double, String, Double, Double)], rendered: String)
 
-  def sensitivity(art: Artifacts,
-                  rs: Seq[Double] = Seq(0.0, 0.05, 0.15, 0.25),
-                  ms: Seq[Long] = Seq(0L, 5L, 20L, 100L),
-                  taus: Seq[Int] = Seq(8, 13),
-                  thetas: Seq[Double] = Seq(0.02, 0.05, 0.1, 0.2)): SensResult = {
+  def sensitivity(art: Artifacts): SensResult = {
     val cases = art.bench("E")
     val rows = Vector.newBuilder[(String, Double, String, Double, Double)]
     def sweep(param: String, values: Seq[Double], mk: Double => (PatternIndex, FmdvConfig)): Unit =
@@ -153,10 +148,10 @@ object Runners {
         for (s <- Eval.evaluateAll(fmdvVariants(idx, cfg), cases))
           rows += ((param, v, s.method, s.precision, s.recall))
       }
-    sweep("r", rs, r => (art.index("E"), FmdvConfig(r = r)))
-    sweep("m", ms.map(_.toDouble), m => (art.index("E"), FmdvConfig(m = m.toLong)))
-    sweep("tau", taus.map(_.toDouble), t => (art.index("E", t.toInt), FmdvConfig(tau = t.toInt)))
-    sweep("theta", thetas, th => (art.index("E"), FmdvConfig(theta = th)))
+    sweep("r", Seq(0.0, 0.05, 0.15, 0.25), r => (art.index("E"), FmdvConfig(r = r)))
+    sweep("m", Seq(0.0, 5, 20, 100), m => (art.index("E"), FmdvConfig(m = m.toLong)))
+    sweep("tau", Seq(8.0, 13), t => (art.index("E", t.toInt), FmdvConfig(tau = t.toInt)))
+    sweep("theta", Seq(0.02, 0.05, 0.1, 0.2), th => (art.index("E"), FmdvConfig(theta = th)))
     val rs0 = rows.result()
     val rendered = (Seq("== Figure 12 as tables: sensitivity of FMDV variants (B_E) ==",
       f"${"param"}%-6s ${"value"}%8s ${"method"}%-10s ${"precision"}%9s ${"recall"}%9s") ++
@@ -195,25 +190,34 @@ object Runners {
   /** Columns the no-index variant, which re-scans the corpus per query, is timed on. */
   private val NoIndexCols = 3
 
+  /** Passes whose per-column median each FMDV variant also reports: one
+    * pass cannot show a change of less than about 40 %.
+    */
+  private val WarmPasses = 5
+
   /** Each method's average over every patterned B_E column (the no-index
     * variant's first [[NoIndexCols]]), and each FMDV variant's per-column
     * p50 / p95 / max, all from one timed pass per method after a warm-up
-    * call.
+    * call. Then each FMDV variant's p50 / p95 / max over the columns of
+    * each column's median over [[WarmPasses]] more passes.
     */
   def latency(art: Artifacts): LatencyResult = {
     val index = art.index("E")
     val all = Eval.patternedSubset(art.bench("E"))
     val corpus = art.corpus("E")
 
-    /** Per-column times in ms, sorted, each with the column's domain. */
-    def timed(cols: Seq[Benchmark.BenchCase])(f: Seq[String] => Any): Vector[(Double, String)] = {
-      f(cols.head.train()) // warm-up
-      cols.map { c =>
-        val tr = c.train()
+    /** Per-column times in ms, each the median of `passes` passes over
+      * `cols` after a warm-up call, sorted, each with the column's domain.
+      */
+    def timed(cols: Seq[Benchmark.BenchCase], passes: Int = 1)(f: Seq[String] => Any): Vector[(Double, String)] = {
+      val trains = cols.map(_.train())
+      f(trains.head) // warm-up
+      val ts = Vector.fill(passes)(trains.map { tr =>
         val t0 = System.nanoTime()
         f(tr)
-        ((System.nanoTime() - t0) / 1e6, c.domain)
-      }.toVector.sortBy(_._1)
+        (System.nanoTime() - t0) / 1e6
+      })
+      cols.indices.map(i => (ts.map(_(i)).sorted.apply(passes / 2), cols(i).domain)).toVector.sortBy(_._1)
     }
 
     val fmdvs = Seq[(String, Seq[String] => Any)](
@@ -229,13 +233,16 @@ object Runners {
     val byCol = fmdvs.map { case (label, f) => label -> timed(all)(f) } ++
       others.map { case (label, cols, f) => label -> timed(cols)(f) }
     val m = byCol.map { case (label, ts) => label -> ts.map(_._1).sum / ts.size }.toMap
-    val tail = for ((label, ts) <- byCol.take(fmdvs.size)) yield {
+    def tail(label: String, ts: Vector[(Double, String)]): String = {
       def pct(p: Double): Double = ts((math.ceil(p * ts.size).toInt - 1).max(0))._1
       f"  $label%-15s p50 ${pct(0.5)}%8.2f  p95 ${pct(0.95)}%8.2f  max ${ts.last._1}%8.2f ms (${ts.last._2})"
     }
+    val warm = fmdvs.map { case (label, f) => tail(label, timed(all, WarmPasses)(f)) }
     val rendered = (Seq("== Figure 14 as a table: avg latency per query column (ms) ==") ++
       byCol.map { case (label, _) => f"  $label%-15s ${m(label)}%12.2f ms" } ++
-      Seq(s"-- per column over all ${all.size} patterned B_E columns --") ++ tail).mkString("\n")
+      Seq(s"-- per column over all ${all.size} patterned B_E columns --") ++
+      byCol.take(fmdvs.size).map { case (label, ts) => tail(label, ts) } ++
+      Seq(s"-- per column, the median of $WarmPasses warm passes --") ++ warm).mkString("\n")
     LatencyResult(m, rendered)
   }
 
@@ -244,9 +251,9 @@ object Runners {
   // ------------------------------------------------------------------
   final case class Table3Result(rows: Vector[(String, String, Double, Double, Double)], rendered: String)
 
-  def table3(art: Artifacts, nCases: Int = 20): Table3Result = {
+  def table3(art: Artifacts): Table3Result = {
     val index = art.index("E")
-    val sample = Eval.patternedSubset(art.bench("E")).take(nCases)
+    val sample = Eval.patternedSubset(art.bench("E")).take(20)
     val contenders: Vector[Method] = Programmers.all :+ new FmdvH.VhMethod(index)
     val rows = contenders.map { m =>
       val t0 = System.nanoTime()
@@ -257,7 +264,7 @@ object Runners {
       (m.name, time, sec, score.precision, score.recall)
     }
     val rendered = (Seq(
-      s"== Table 3: simulated user study ($nCases sampled B_E columns) ==",
+      s"== Table 3: simulated user study (${sample.size} sampled B_E columns) ==",
       "(human seconds cannot be reproduced offline; paper times shown for the",
       " simulated programmer policies, measured time for the algorithm)",
       f"${"contender"}%-14s ${"time/col (ms)"}%16s ${"precision"}%9s ${"recall"}%9s") ++

@@ -1,7 +1,7 @@
 package repro.index
 
 import org.apache.spark.rdd.RDD
-import repro.core.{Enumerate, Fmdv, FmdvConfig, Solution}
+import repro.core.{Enumerate, Fmdv, Solution}
 import repro.lake.LakeColumn
 
 /** "FMDV (no-index)" reference point of Fig. 14: solve FMDV by re-scanning
@@ -11,12 +11,12 @@ import repro.lake.LakeColumn
   */
 object NoIndexFmdv {
 
-  def solve(values: Seq[String], corpus: RDD[LakeColumn],
-            cfg: FmdvConfig = FmdvConfig(),
-            idxCfg: OfflineIndexer.IndexConfig = OfflineIndexer.IndexConfig()): Option[Solution] = {
-    val hs = Enumerate.hypothesis(values, cfg.tau, cfg.cap)
-    if (hs.isEmpty) return None
-    val wanted = hs.map(_.key).toSet
-    Fmdv.best(hs, OfflineIndexer.aggregate(corpus, idxCfg, wanted), cfg)
-  }
+  /** `Fmdv.solve` on the index of H(C)'s keys that one rescan aggregates. */
+  def solve(values: Seq[String], corpus: RDD[LakeColumn]): Option[Solution] =
+    scan(values, corpus).flatMap(Fmdv.solve(values, _))
+
+  /** That index, aggregated as the indexer would; no rescan when H(C) is empty. */
+  private[index] def scan(values: Seq[String], corpus: RDD[LakeColumn]): Option[PatternIndex] =
+    Some(Enumerate.hypothesis(values).map(_.key).toSet).filter(_.nonEmpty)
+      .map(OfflineIndexer.aggregate(corpus, OfflineIndexer.IndexConfig(), _))
 }

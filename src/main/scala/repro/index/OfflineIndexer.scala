@@ -3,7 +3,7 @@ package repro.index
 import scala.collection.mutable
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
-import repro.core.Enumerate
+import repro.core.{Enumerate, Values}
 import repro.lake.LakeColumn
 
 /** Offline indexing stage (§2.4), as one Spark pass.
@@ -55,7 +55,7 @@ object OfflineIndexer {
 
   /** Per-column local evidence: one row per pattern in P(D). */
   private[index] def localEvidence(values: Seq[String], cfg: IndexConfig): Seq[(String, Double)] = {
-    val vs = values.iterator.filter(v => v != null && v.nonEmpty).take(cfg.maxValues).toVector
+    val vs = values.iterator.filterNot(Values.isMissing).take(cfg.maxValues).toVector
     if (vs.isEmpty) return Nil
     val enumerable = vs.count(v => repro.core.Tokens.effectiveTokenCount(v) <= cfg.tau)
     if (enumerable < cfg.minEnumerable * vs.size) return Nil

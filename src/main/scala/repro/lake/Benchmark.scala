@@ -17,6 +17,12 @@ import repro.lake.Domains.Domain
   */
 object Benchmark {
 
+  /** The share of each column that is its training prefix (§5.1). */
+  val TrainFrac = 0.1
+
+  /** The length of the training prefix of `n` values: at least one value. */
+  private def trainSize(n: Int, trainFrac: Double): Int = math.max(1, (n * trainFrac).toInt)
+
   final case class BenchCase(
       id: String,
       domain: String,
@@ -26,19 +32,15 @@ object Benchmark {
       noiseIdx: Set[Int],
       sibling: Option[Vector[String]]) {
 
-    def train(trainFrac: Double = 0.1): Vector[String] =
-      values.take(math.max(1, (values.size * trainFrac).toInt))
+    def train(trainFrac: Double = TrainFrac): Vector[String] = values.take(trainSize(values.size, trainFrac))
 
-    def test(trainFrac: Double = 0.1): Vector[String] =
-      values.drop(math.max(1, (values.size * trainFrac).toInt))
+    def test(trainFrac: Double = TrainFrac): Vector[String] = values.drop(trainSize(values.size, trainFrac))
 
     /** Test split with injected noise removed (ground-truth evaluation). */
-    def testClean(trainFrac: Double = 0.1): Vector[String] = {
-      val off = math.max(1, (values.size * trainFrac).toInt)
-      values.zipWithIndex.drop(off).collect {
+    def testClean(trainFrac: Double = TrainFrac): Vector[String] =
+      values.zipWithIndex.drop(trainSize(values.size, trainFrac)).collect {
         case (v, i) if !noiseIdx.contains(i) => v
       }
-    }
   }
 
   final case class BenchConfig(
@@ -47,7 +49,6 @@ object Benchmark {
       nCases: Int,
       nlFrac: Double,
       valuesPerCase: Int,
-      trainFrac: Double = 0.1,
       dirtyFrac: Double = 0.2,
       dirtyRate: Double = 0.03,
       noiseFrac: Double = 0.10,
@@ -101,7 +102,7 @@ object Benchmark {
       // header-like noise injected into the TEST portion only
       var noise = Set.empty[Int]
       if (!isNl && r.nextDouble() < cfg.noiseFrac) {
-        val off = math.max(1, (vals.size * cfg.trainFrac).toInt)
+        val off = trainSize(vals.size, TrainFrac)
         val k = 1 + r.nextInt(2)
         val idx = Vector.fill(k)(off + r.nextInt(vals.size - off)).distinct
         vals = idx.foldLeft(vals)((acc, j) =>

@@ -42,7 +42,7 @@ class DictSpec extends SparkSpec {
 
   test("Deequ-Fra dictionary keeps only the covering head") {
     val train = Seq.fill(95)("A") ++ Seq("b", "c", "d", "e", "f")
-    val rule = new DeequFra(coverage = 0.9).learn(train).get.asInstanceOf[FractionalDictRule]
+    val rule = new DeequFra().learn(train).get.asInstanceOf[FractionalDictRule]
     assert(rule.dict == Set("A"))
   }
 

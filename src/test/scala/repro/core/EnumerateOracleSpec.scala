@@ -52,7 +52,7 @@ class EnumerateOracleSpec extends SparkSpec with PropHelpers {
     val mults = distinct.map(v => present.count(_ == v))
     val counts = EnumerateOracle.columnPatternCounts(vs, tau, cap)
     val firstReached = distinct.flatMap(EnumerateOracle.patternsOf(_, tau, cap)).distinctBy(_.key)
-    val options = Enumerate.walkedOptions(vs, 1, tau, cap)
+    val options = walkedOptions(vs, 1, tau, cap)
     assert(options.size == distinct.size)
     val optionCounts = options.zip(mults)
       .flatMap { case (lists, m) =>
@@ -68,7 +68,7 @@ class EnumerateOracleSpec extends SparkSpec with PropHelpers {
       }).filter(_.forall(_.nonEmpty)))
       // the pre-count's early exit empties every value's lists once no
       // pattern can reach k; only then may they differ from the direct filter
-      val walked = Enumerate.walkedOptions(vs, k, tau, cap)
+      val walked = walkedOptions(vs, k, tau, cap)
       if (walked != kept && walked.forall(_.isEmpty))
         assert(want.isEmpty, s"early exit with a frequent pattern: $vs at k=$k tau=$tau cap=$cap")
       else assert(walked == kept, s"options of $vs at k=$k tau=$tau cap=$cap")
@@ -138,7 +138,7 @@ class EnumerateOracleSpec extends SparkSpec with PropHelpers {
         val sub = table.text(a, b)
         assert(Tokens.tokenize(sub).length == b - a + 1, s"'$sub' of '$v'")
         val got = table.lists(a, b, tau, cap).toVector.map(_.toVector.map(_.toVector.map(Pattern.Code.decode(_, in.text))))
-        assert(got == Enumerate.walkedOptions(Seq(sub), 1, tau, cap).head,
+        assert(got == walkedOptions(Seq(sub), 1, tau, cap).head,
           s"run $a … $b ('$sub') of '$v' at tau=$tau cap=$cap")
       }
     }
@@ -273,6 +273,18 @@ object EnumerateOracleSpec {
       (bad, EnumerateOracle.localEvidence(c.values, cfg, keys))
     }
     TestLakeOracle(perColumn.flatMap(_._1), checked.size, perColumn.flatMap(_._2))
+  }
+
+  /** The option lists that `Enumerate.frequentPatterns(values, minCount)`
+    * walks for each distinct non-empty value in first-seen order (its
+    * group's lists, list × position × option), so that the grouping and the
+    * support count can be checked against a direct count.
+    */
+  def walkedOptions(values: Seq[String], minCount: Int, tau: Int = DefaultTau,
+                    cap: Int = DefaultCap): Vector[Vector[Vector[Vector[Pattern.PTok]]]] = {
+    val in = new Enumerate.Interner
+    val g = Enumerate.columnOptions(in, values, minCount, tau, cap)
+    g.of.toVector.map(i => g.lists(i).toVector.map(_.toVector.map(_.toVector.map(Pattern.Code.decode(_, in.text)))))
   }
 
   /** `f` over `xs` on a few threads, in order. */

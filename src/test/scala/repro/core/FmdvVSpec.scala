@@ -155,24 +155,27 @@ class FmdvVSpec extends SparkSpec {
   }
 
   test("a span's pruned H(C) keeps every index key of H(C), so FMDV picks the same") {
-    for ((vs, cfg, idx) <- cases(40)) {
+    val bad = EnumerateOracleSpec.inParallel(cases(40)) { case (vs, cfg, idx) =>
       val distinct = vs.filter(_.nonEmpty).distinct
       val aligned = Msa.alignValues(distinct)
       val segments = new FmdvV.Segments(distinct, aligned, idx, cfg)
-      for (s <- 0 until aligned.length; e <- s until aligned.length) {
-        val sub = aligned.segmentValues(s, e)
-        if (!sub.exists(_.isEmpty)) {
-          val full = Enumerate.hypothesis(sub, cfg.tau, cfg.cap)
-          val pruned = segments.hypothesis(s, e)
-          val (fullKeys, prunedKeys) = (full.map(_.key).toSet, pruned.map(_.key).toSet)
-          assert(fullKeys.filter(idx.lookup(_).isDefined).subsetOf(prunedKeys), s"$sub [$s, $e]")
-          assert(prunedKeys.subsetOf(fullKeys), s"$sub [$s, $e]")
-          for (p <- pruned; (t, d) <- p.toks.zipWithIndex)
-            assert(idx.slotsOf(t).contains(PatternIndex.slot(p.toks.length, d)), s"$t at $d of ${p.key}: $sub [$s, $e]")
-          assert(Fmdv.best(pruned, idx, cfg) == Fmdv.best(full, idx, cfg), s"$sub [$s, $e]")
-        }
+      /** The first check that span [s, e] fails, if any. */
+      def failure(s: Int, e: Int, sub: Vector[String]): Option[String] = {
+        val full = Enumerate.hypothesis(sub, cfg.tau, cfg.cap)
+        val pruned = segments.hypothesis(s, e)
+        val (fullKeys, prunedKeys) = (full.map(_.key).toSet, pruned.map(_.key).toSet)
+        val offSlot = for (p <- pruned.iterator; (t, d) <- p.toks.zipWithIndex.iterator
+                           if !idx.slotsOf(t).contains(PatternIndex.slot(p.toks.length, d))) yield s"$t at $d of ${p.key}"
+        if (!fullKeys.filter(idx.lookup(_).isDefined).subsetOf(prunedKeys)) Some("an index key of H(C) is pruned")
+        else if (!prunedKeys.subsetOf(fullKeys)) Some("a pruned key is not in H(C)")
+        else offSlot.nextOption().orElse(
+          if (Fmdv.best(pruned, idx, cfg) == Fmdv.best(full, idx, cfg)) None else Some("Fmdv.best differs"))
       }
-    }
+      (for (s <- (0 until aligned.length).iterator; e <- (s until aligned.length).iterator;
+            sub = aligned.segmentValues(s, e) if !sub.exists(_.isEmpty); msg <- failure(s, e, sub))
+        yield s"$msg: $sub [$s, $e] at tau=${cfg.tau} cap=${cfg.cap}").nextOption()
+    }.flatten
+    assert(bad.isEmpty, s"${bad.size} cases differ, e.g. ${bad.take(2)}")
   }
 }
 

@@ -59,8 +59,8 @@ class EvalSpec extends SparkSpec {
   test("ground-truth mode removes injected noise for precision") {
     val noisy = mkCase("c5", "clean", Vector.fill(49)("7") :+ "HEADER", noise = Set(49))
     val m = method("strict7") { _ => Some(ruleOf(t => t.exists(_ != "7"))) }
-    val prog = evaluate(m, Seq(noisy), EvalConfig(groundTruth = false))
-    val gt = evaluate(m, Seq(noisy), EvalConfig(groundTruth = true))
+    val prog = evaluate(m, Seq(noisy), groundTruth = false)
+    val gt = evaluate(m, Seq(noisy), groundTruth = true)
     assert(prog.precision == 0.0, "programmatic eval punishes the noise value")
     assert(gt.precision == 1.0, "ground-truth eval removes it")
   }
@@ -72,8 +72,8 @@ class EvalSpec extends SparkSpec {
       Some(ruleOf(test => test.exists(x => x.count(_ == '/') != v.count(_ == '/'))))
     }
     val all = Seq(dateCase, twin, wordCase, intCase)
-    val prog = evaluate(m, all, EvalConfig(groundTruth = false))
-    val gt = evaluate(m, all, EvalConfig(groundTruth = true))
+    val prog = evaluate(m, all, groundTruth = false)
+    val gt = evaluate(m, all, groundTruth = true)
     assert(gt.recall > prog.recall, "twin date column is no longer a recall loss")
   }
 

@@ -1,7 +1,7 @@
 package repro.index
 
 import repro.{SparkSpec, TestFixtures}
-import repro.core.Fmdv
+import repro.core.{Enumerate, Fmdv, FmdvConfig}
 import repro.lake.Domains
 import scala.util.Random
 
@@ -20,6 +20,14 @@ class NoIndexFmdvSpec extends SparkSpec {
     val indexed = Fmdv.solve(train, TestFixtures.indexE)
     val scanned = NoIndexFmdv.solve(train, TestFixtures.corpusE)
     assert(indexed.map(_.pat.key) == scanned.map(_.pat.key))
+  }
+
+  test("selects on the rescanned index as Fmdv.best over H(C) does") {
+    val train = TestFixtures.benchE.iterator.filterNot(_.isNL).map(_.train()).find(Enumerate.hypothesis(_).nonEmpty).get
+    val idx = NoIndexFmdv.scan(train, TestFixtures.corpusE).get
+    val want = Fmdv.best(Enumerate.hypothesis(train), idx, FmdvConfig())
+    assert(want.isDefined)
+    assert(Fmdv.solve(train, idx) == want)
   }
 
   test("no hypothesis → no scan, no solution") {

@@ -34,6 +34,13 @@ class BenchmarkSpec extends SparkSpec {
     assert(c.train() ++ c.test() == c.values)
   }
 
+  test("a case of fewer than 1 / TrainFrac values trains on its first value") {
+    val c = BenchCase("x", "d", isNL = false, "", Vector("a", "b", "c"), Set(2), None)
+    assert(c.train() == Vector("a"))
+    assert(c.test() == Vector("b", "c"))
+    assert(c.testClean() == Vector("b"))
+  }
+
   test("noise values are injected into the test portion only") {
     val noisy = benchE.filter(_.noiseIdx.nonEmpty)
     assert(noisy.nonEmpty, "some cases should carry injected noise")
